@@ -1,0 +1,12 @@
+"""Make the simulator and the benchmark modules importable.
+
+Run from the repository root::
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
