@@ -243,7 +243,6 @@ class ByzantineGateway(Fault):
         self._node = None
         self._sim = None
         self._rng = None
-        self._saved = None
         self._decoy_addr = None
 
     # ------------------------------------------------------------------
@@ -258,31 +257,23 @@ class ByzantineGateway(Fault):
             if not decoy_node.addresses:
                 raise ValueError(f"decoy {self.decoy} has no addresses")
             self._decoy_addr = decoy_node.addresses[0]
-        original = node._output  # bound method resolved via the class
-        self._saved = original
-        fault = self
-
-        def malicious_output(datagram, *, originating: bool) -> bool:
-            if originating or not fault._active:
-                return original(datagram, originating=originating)
-            return fault._perturb(datagram, original)
-
-        node._output = malicious_output
+        node.transit_interposer = self._perturb
         self._active = True
 
     def clear(self, net) -> None:
         self._active = False
         node, self._node = self._node, None
-        if node is not None and node.__dict__.get("_output") is not None:
-            del node.__dict__["_output"]
-        self._saved = None
+        if node is not None and node.transit_interposer == self._perturb:
+            node.transit_interposer = None
 
     # ------------------------------------------------------------------
-    def _perturb(self, datagram, original) -> bool:
-        """Apply this fault's behavior to one forwarded datagram."""
+    def _perturb(self, datagram) -> bool:
+        """The node's transit interposer: apply this fault's behavior to
+        one forwarded datagram, passing it on by the honest output step."""
+        honest = self._node.output_transit
         if self._rng.random() >= self.rate or not datagram.payload:
             self.passed_through += 1
-            return original(datagram, originating=False)
+            return honest(datagram)
         self.perturbed += 1
         behavior = self.behavior
         if behavior == "corrupt":
@@ -290,7 +281,7 @@ class ByzantineGateway(Fault):
             index = self._rng.randrange(len(mutated))
             mutated[index] ^= self._rng.randrange(1, 256)
             datagram.payload = bytes(mutated)
-            return original(datagram, originating=False)
+            return honest(datagram)
         if behavior == "replay":
             # Replayed copies carry idents from the top of the 16-bit
             # space: the loop monitor keys packets by (src, dst, proto,
@@ -301,7 +292,7 @@ class ByzantineGateway(Fault):
                 ident = 0xC000 + (self._replay_ident & 0x3FFF)
                 self._replay_ident += 1
                 copies.append(datagram.copy(ident=ident))
-            sent = original(datagram, originating=False)
+            sent = honest(datagram)
             for i, dupe in enumerate(copies):
                 self._sim.schedule(
                     0.01 * (i + 1),
@@ -310,7 +301,7 @@ class ByzantineGateway(Fault):
             return sent
         if behavior == "misroute":
             datagram.dst = self._decoy_addr
-            return original(datagram, originating=False)
+            return honest(datagram)
         # behavior == "delay": hold past the sender's RTO, then release.
         self._sim.schedule(
             self.delay_by,
@@ -322,7 +313,7 @@ class ByzantineGateway(Fault):
         """Emit a held or duplicated datagram through the honest path."""
         node = self._node
         if self._active and node is not None and node.up:
-            self._saved(datagram, originating=False)
+            node.output_transit(datagram)
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

@@ -77,6 +77,8 @@ class Address:
         return f"Address('{self}')"
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is Address:
+            return self._value == other._value
         if isinstance(other, (Address, int)):
             return self._value == int(other)
         if isinstance(other, str):

@@ -94,7 +94,10 @@ class RouteTable:
         self._by_length: dict[int, dict[Prefix, Route]] = {}
         self._lengths: tuple[int, ...] = ()  # descending, rebuilt on mutation
         self._generation = 0
-        self._cache: dict[int, tuple[int, Route]] = {}  # int(dst) -> (gen, Route)
+        # int(dst) -> (gen, Route).  Node._forward's fused transit path
+        # probes this dict and _generation directly and counts its own
+        # cache_hits, so a change to the entry format must change it too.
+        self._cache: dict[int, tuple[int, Route]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         #: Zero-arg callable returning the current sim time; provenance

@@ -28,7 +28,7 @@ from .address import Address, Prefix
 from .forwarding import NoRouteError, Route, RouteTable
 from .fragmentation import FragmentationError, Reassembler, fragment
 from . import icmp
-from .packet import Datagram, PROTO_ICMP
+from .packet import Datagram, IP_HEADER_LEN, PROTO_ICMP
 
 __all__ = ["Node", "NodeStats", "ProtocolHandler"]
 
@@ -153,6 +153,12 @@ class Node:
         #: the flow/soft-state extension and the accounting module to
         #: observe traffic without joining the forwarding decision.
         self.forward_inspectors: list[Callable[[Datagram], None]] = []
+        #: Optional transit interposer: called in place of the output step
+        #: with each forwarded clone, returns whether it was sent, and
+        #: passes datagrams on through :meth:`output_transit`.  The
+        #: declared hook for in-path behaviour such as a byzantine
+        #: gateway; while it is set, every hop takes the reference path.
+        self.transit_interposer: Optional[Callable[[Datagram], bool]] = None
         #: FlowGateways attached to this node; the observability registry,
         #: the management MIB and the chaos FlowStateMonitor discover the
         #: soft-state plane through this list.
@@ -349,8 +355,8 @@ class Node:
         if pool is None:
             return
         if iface is not None and getattr(iface.medium, "is_shared", False):
-            dst = datagram.dst
-            if dst.is_broadcast or dst == iface.broadcast_address:
+            dst = datagram.dst._value
+            if dst == 0xFFFFFFFF or dst == iface.broadcast_value:
                 return
         pool.release(datagram)
 
@@ -413,26 +419,32 @@ class Node:
         iface.output(datagram, next_hop)
         return True
 
+    def output_transit(self, datagram: Datagram) -> bool:
+        """Route and transmit a transit datagram by the reference output
+        step; what a :attr:`transit_interposer` calls to pass one on."""
+        return self._output(datagram, originating=False)
+
     def datagram_arrived(self, datagram: Datagram, iface: Optional[Interface]) -> None:
         """Entry point from the link layer."""
-        obs = self.obs
-        if obs is not None and not obs.enabled:
-            obs = None
         if not self.up:
             self.stats.dropped_down += 1
-            if obs is not None:
+            obs = self.obs
+            if obs is not None and obs.enabled:
                 obs.drop(self.sim.now, self.name, "drop-node-down", datagram)
             self._release_terminal(datagram, iface)
             return
         self.stats.work_units += 1
-        if self.owns_address(datagram.dst) or datagram.dst.is_broadcast or (
-            iface is not None and datagram.dst == iface.broadcast_address
+        # "For me, broadcast or transit" on integer address values.
+        dst = datagram.dst._value
+        if dst in self._owned_values or dst == 0xFFFFFFFF or (
+            iface is not None and dst == iface.broadcast_value
         ):
             self._deliver_local(datagram, iface)
             return
         if not self.is_gateway:
             self.stats.dropped_not_mine += 1
-            if obs is not None:
+            obs = self.obs
+            if obs is not None and obs.enabled:
                 obs.drop(self.sim.now, self.name, "drop-not-mine", datagram,
                          str(datagram.dst))
             self._release_terminal(datagram, iface)
@@ -441,7 +453,17 @@ class Node:
 
     def _forward(self, datagram: Datagram,
                  iface_in: Optional[Interface] = None) -> None:
-        """Gateway transit path: TTL, redirect advice, then output."""
+        """Gateway transit path: TTL, redirect advice, then output.
+
+        The common hop is fused: with obs off, no interposer, a current
+        destination-cache entry whose interface is not ``iface_in`` (so no
+        redirect), an up medium and a datagram that fits its MTU, the
+        clone goes straight to the scheduler or medium after one cache
+        probe.  Counters move exactly as on the reference path below,
+        which every other hop takes (DESIGN.md §7, "fused transit path").
+        Only :meth:`datagram_arrived` calls this, so the original is never
+        a broadcast and its release needs no shared-medium check.
+        """
         obs = self.obs
         if obs is not None and not obs.enabled:
             obs = None
@@ -455,19 +477,60 @@ class Node:
             self._send_icmp(icmp.time_exceeded(self.address, datagram))
             self._release_terminal(datagram, iface_in)
             return
-        if iface_in is not None and self.send_redirects:
-            self._maybe_redirect(datagram, iface_in)
+        routes = self.routes
         pool = self.packet_pool
+        entry = None
+        if obs is None and self.transit_interposer is None:
+            entry = routes._cache.get(datagram.dst._value)
+            if (entry is not None and entry[0] == routes._generation
+                    and entry[1].interface is not iface_in):
+                # The redirect check's lookup, which cannot advise here.
+                if iface_in is not None and self.send_redirects:
+                    routes.cache_hits += 1
+            else:
+                entry = None
+        if entry is None and iface_in is not None and self.send_redirects:
+            self._maybe_redirect(datagram, iface_in)
         if pool is not None:
             forwarded = pool.clone_forward(datagram)
         else:
             forwarded = datagram.copy(ttl=datagram.ttl - 1)
-        for inspector in self.forward_inspectors:
-            inspector(forwarded)
-        # Captured before _output: the fragmentation path may release the
-        # clone (its pieces carry on), and release clears the payload.
-        forwarded_length = forwarded.total_length
-        if self._output(forwarded, originating=False):
+        inspectors = self.forward_inspectors
+        if inspectors:
+            generation = routes._generation
+            for inspector in inspectors:
+                inspector(forwarded)
+            if (routes._generation != generation
+                    or forwarded.dst is not datagram.dst):
+                entry = None
+        # Captured before output: a drop or the fragmentation path may
+        # release the clone, and release clears the payload.
+        forwarded_length = IP_HEADER_LEN + len(forwarded.payload)
+        if entry is not None:
+            route = entry[1]
+            iface = route.interface
+            medium = iface.medium
+            if (medium is not None and medium.is_up()
+                    and forwarded_length <= medium.mtu):
+                stats = self.stats
+                stats.work_units += 1
+                routes.cache_hits += 1
+                scheduler = iface.scheduler
+                if scheduler is not None:
+                    scheduler.enqueue(forwarded, route.next_hop)
+                else:
+                    medium.transmit(iface, forwarded, route.next_hop)
+                stats.forwarded += 1
+                stats.bytes_forwarded += forwarded_length
+                if pool is not None:
+                    pool.release(datagram)
+                return
+        interposer = self.transit_interposer
+        if interposer is not None:
+            sent = interposer(forwarded)
+        else:
+            sent = self._output(forwarded, originating=False)
+        if sent:
             self.stats.forwarded += 1
             self.stats.bytes_forwarded += forwarded_length
             if obs is not None:

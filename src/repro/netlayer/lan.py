@@ -10,6 +10,7 @@ resolution is by direct lookup, standing in for ARP (see
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Optional
 
 from ..ip.address import Address, Prefix
@@ -51,9 +52,8 @@ class LanBus:
     ):
         self.sim = sim
         self.prefix = prefix
-        # Computed once: Prefix.broadcast allocates per call and _arrive
-        # consults it for every frame on the segment.
-        self._broadcast = prefix.broadcast
+        # Computed once: _arrive consults it for every frame on the segment.
+        self._broadcast_value = int(prefix.broadcast)
         self.bandwidth_bps = bandwidth_bps
         self.delay = delay
         self.mtu = mtu
@@ -61,6 +61,8 @@ class LanBus:
         self.loss = loss or NoLoss()
         self.rng = rng if rng is not None else random.Random(0)
         self.name = name
+        #: Event label of every frame on this segment, built once.
+        self._label = f"lan:{name}"
         self._up = True
         self._interfaces: dict[int, Interface] = {}
         self._channel_busy_until = 0.0
@@ -110,27 +112,31 @@ class LanBus:
             iface.notify_queue_drop(datagram)
             return
         target = next_hop if next_hop is not None else datagram.dst
-        size = datagram.total_length + self.FRAME_OVERHEAD
-        tx_time = size * 8.0 / self.bandwidth_bps
-        start = max(self.sim.now, self._channel_busy_until)
+        length = datagram.total_length
+        now = self.sim.now
+        tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
+        busy = self._channel_busy_until
+        start = now if now > busy else busy
         self._channel_busy_until = start + tx_time
         self._queued += 1
-        iface.stats.packets_sent += 1
-        iface.stats.bytes_sent += datagram.total_length
-        iface.stats.link_header_bytes += self.FRAME_OVERHEAD
+        stats = iface.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += length
+        stats.link_header_bytes += self.FRAME_OVERHEAD
         arrival = start + tx_time + self.delay
-        obs = _obs_of(iface)
-        if obs is not None and iface.node is not None:
-            obs.link_hop(self.sim.now, iface.node.name, datagram,
-                         queue_wait=start - self.sim.now,
-                         serialization=tx_time,
-                         propagation=self.delay,
-                         detail=self.name)
-        epoch = self._epoch
+        node = iface.node
+        if node is not None:
+            obs = node.obs
+            if obs is not None and obs.enabled:
+                obs.link_hop(now, node.name, datagram,
+                             queue_wait=start - now,
+                             serialization=tx_time,
+                             propagation=self.delay,
+                             detail=self.name)
         self.sim.post_at(
             arrival,
-            lambda: self._arrive(iface, target, datagram, epoch),
-            label=f"lan:{self.name}",
+            partial(self._arrive, iface, target, datagram, self._epoch),
+            label=self._label,
         )
 
     def _arrive(self, sender: Interface, target: Address,
@@ -141,12 +147,15 @@ class LanBus:
             sender.stats.packets_dropped_down += 1
             _release_dropped(sender, datagram)
             return
-        self._queued = max(0, self._queued - 1)
+        if self._queued > 0:
+            self._queued -= 1
         if not self._up:
             sender.stats.packets_lost += 1
             _release_dropped(sender, datagram)
             return
-        if self.loss.lose(self.rng, datagram.total_length):
+        loss = self.loss
+        if type(loss) is not NoLoss and loss.lose(self.rng,
+                                                   datagram.total_length):
             sender.stats.packets_lost += 1
             obs = _obs_of(sender)
             if obs is not None and sender.node is not None:
@@ -154,19 +163,24 @@ class LanBus:
                          datagram, self.name)
             _release_dropped(sender, datagram)
             return
-        if target.is_broadcast or target == self._broadcast:
+        value = target._value
+        if value == 0xFFFFFFFF or value == self._broadcast_value:
             for iface in list(self._interfaces.values()):
                 if iface is not sender:
                     iface.deliver(datagram)
             return
-        receiver = self.resolve(target)
+        receiver = self._interfaces.get(value)
         if receiver is None or receiver is sender:
             # Nobody holds that address — silently discarded, as on a real
             # LAN where ARP would have failed.
             sender.stats.packets_lost += 1
             _release_dropped(sender, datagram)
             return
-        receiver.deliver(datagram)
+        # Interface.deliver, inlined: this is every unicast frame's arrival.
+        receiver.stats.packets_delivered += 1
+        node = receiver.node
+        if node is not None:
+            node.datagram_arrived(datagram, receiver)
 
     def __repr__(self) -> str:
         return (

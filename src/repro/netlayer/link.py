@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from ..ip.address import Address, Prefix
@@ -101,11 +102,10 @@ class Interface:
         self.name = name
         self.address = address
         self.prefix = prefix
-        #: The prefix's directed-broadcast address, computed once.
-        #: ``Prefix.broadcast`` builds a fresh :class:`Address` per call,
-        #: which the per-arrival "is this for me?" check turned into the
-        #: hottest allocation after datagrams themselves.
-        self.broadcast_address = prefix.broadcast
+        #: The integer value of the prefix's directed-broadcast address,
+        #: computed once: the node's per-arrival "is this for me?" check
+        #: compares integer address values.
+        self.broadcast_value = int(prefix.broadcast)
         self.node: Optional["Node"] = None
         self.medium: Optional[Medium] = None
         self.stats = LinkStats()
@@ -233,6 +233,8 @@ class PointToPointLink:
         #: Optional per-direction RED early-drop/ECN-mark state, keyed by
         #: sending interface (see :meth:`enable_red`).  None = drop-tail.
         self._red: dict[Interface, object] = {}
+        #: Event label of every arrival on this link, built once.
+        self._label = f"link:{self.name}"
         a.medium = self
         b.medium = self
 
@@ -286,46 +288,61 @@ class PointToPointLink:
                          datagram, self.name)
             _release_dropped(iface, datagram)
             return
-        red = self._red.get(iface)
-        if red is not None:
-            verdict = red.on_enqueue(self._queued[iface], self.sim.now,
-                                     ect=bool(datagram.tos & TOS_ECT))
-            if verdict == "drop":
-                iface.notify_queue_drop(datagram)
-                return
-            if verdict == "mark":
-                datagram.tos |= TOS_CE
-        if self._queued[iface] >= self.queue_limit:
+        if self._red:
+            red = self._red.get(iface)
+            if red is not None:
+                verdict = red.on_enqueue(self._queued[iface], self.sim.now,
+                                         ect=bool(datagram.tos & TOS_ECT))
+                if verdict == "drop":
+                    iface.notify_queue_drop(datagram)
+                    return
+                if verdict == "mark":
+                    datagram.tos |= TOS_CE
+        queued = self._queued
+        if queued[iface] >= self.queue_limit:
             iface.notify_queue_drop(datagram)
             return
-        size = datagram.total_length + self.FRAME_OVERHEAD
-        tx_time = size * 8.0 / self.bandwidth_bps
-        start = max(self.sim.now, self._busy_until[iface])
+        a, b = self.ends
+        if iface is a:
+            remote = b
+        elif iface is b:
+            remote = a
+        else:
+            raise ValueError(f"{iface} is not attached to {self.name}")
+        length = datagram.total_length
+        now = self.sim.now
+        tx_time = (length + self.FRAME_OVERHEAD) * 8.0 / self.bandwidth_bps
+        busy = self._busy_until[iface]
+        start = now if now > busy else busy
         self._busy_until[iface] = start + tx_time
-        self._queued[iface] += 1
-        iface.stats.packets_sent += 1
-        iface.stats.bytes_sent += datagram.total_length
-        iface.stats.link_header_bytes += self.FRAME_OVERHEAD
+        queued[iface] += 1
+        stats = iface.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += length
+        stats.link_header_bytes += self.FRAME_OVERHEAD
 
-        jitter = self.jitter_fn() if self.jitter_fn is not None else 0.0
-        arrival = start + tx_time + self.delay + max(0.0, jitter)
-        obs = _obs_of(iface)
-        if obs is not None and iface.node is not None:
-            # Dwell breakdown: time waiting behind earlier frames, time on
-            # the serializer, time in flight (propagation + jitter).
-            obs.link_hop(self.sim.now, iface.node.name, datagram,
-                         queue_wait=start - self.sim.now,
-                         serialization=tx_time,
-                         propagation=arrival - start - tx_time,
-                         detail=self.name)
-        remote = self.other_end(iface)
-        epoch = self._epoch
+        arrival = start + tx_time + self.delay
+        if self.jitter_fn is not None:
+            jitter = self.jitter_fn()
+            if jitter > 0.0:
+                arrival += jitter
+        node = iface.node
+        if node is not None:
+            obs = node.obs
+            if obs is not None and obs.enabled:
+                # Dwell breakdown: time waiting behind earlier frames, time
+                # on the serializer, time in flight (propagation + jitter).
+                obs.link_hop(now, node.name, datagram,
+                             queue_wait=start - now,
+                             serialization=tx_time,
+                             propagation=arrival - start - tx_time,
+                             detail=self.name)
         # Fire-and-forget: packet arrivals are never cancelled, so they
         # need no handle and no Event record.
         self.sim.post_at(
             arrival,
-            lambda: self._arrive(iface, remote, datagram, epoch),
-            label=f"link:{self.name}",
+            partial(self._arrive, iface, remote, datagram, self._epoch),
+            label=self._label,
         )
 
     def _arrive(self, sender: Interface, remote: Interface,
@@ -336,7 +353,9 @@ class PointToPointLink:
             # packets_dropped_down when the flap flushed the queue.
             _release_dropped(sender, datagram)
             return
-        self._queued[sender] = max(0, self._queued[sender] - 1)
+        queued = self._queued
+        if queued[sender] > 0:
+            queued[sender] -= 1
         if not self._up:
             sender.stats.packets_lost += 1
             obs = _obs_of(sender)
@@ -345,7 +364,9 @@ class PointToPointLink:
                          datagram, f"{self.name} (in flight)")
             _release_dropped(sender, datagram)
             return
-        if self.loss.lose(self.rng, datagram.total_length):
+        loss = self.loss
+        if type(loss) is not NoLoss and loss.lose(self.rng,
+                                                   datagram.total_length):
             sender.stats.packets_lost += 1
             obs = _obs_of(sender)
             if obs is not None and sender.node is not None:
@@ -353,7 +374,11 @@ class PointToPointLink:
                          datagram, self.name)
             _release_dropped(sender, datagram)
             return
-        remote.deliver(datagram)
+        # Interface.deliver, inlined: this is every hop's arrival.
+        remote.stats.packets_delivered += 1
+        node = remote.node
+        if node is not None:
+            node.datagram_arrived(datagram, remote)
 
     def __repr__(self) -> str:
         return (

@@ -284,9 +284,11 @@ class Simulator:
         label: str = "",
     ) -> None:
         """Fire-and-forget :meth:`call_at` (see :meth:`post`)."""
-        if math.isnan(time) or math.isinf(time):
-            raise SimulationError(f"invalid event time {time!r}")
-        if time < self._now:
+        # One chained comparison admits every valid time (NaN fails it);
+        # only a rejected time pays for telling the two errors apart.
+        if not self._now <= time < math.inf:
+            if math.isnan(time) or math.isinf(time):
+                raise SimulationError(f"invalid event time {time!r}")
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )

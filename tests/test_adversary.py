@@ -107,7 +107,9 @@ def test_clear_restores_the_honest_forwarder():
     net, fault, client, h2, decoy, got, expected = run_behavior(
         "corrupt", rate=0.9)
     gb = net.node_by_name("GB")
-    # The monkeypatched _output is gone; the class method is back.
+    # The transit interposer is unset and nothing shadows the class's
+    # output step, so GB's hops are eligible for the fused path again.
+    assert gb.transit_interposer is None
     assert "_output" not in gb.__dict__
     assert fault._active is False
 

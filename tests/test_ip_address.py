@@ -82,6 +82,65 @@ def test_bytes_round_trip_property(value):
     assert Address.from_bytes(a.to_bytes()) == a
 
 
+def reference_eq(address, other):
+    """``Address.__eq__`` as it was before its exact-type fast branch."""
+    if isinstance(other, (Address, int)):
+        return address._value == int(other)
+    if isinstance(other, str):
+        try:
+            return address._value == Address(other)._value
+        except AddressError:
+            return NotImplemented
+    return NotImplemented
+
+
+class SubAddress(Address):
+    __slots__ = ()
+
+
+values = st.integers(min_value=0, max_value=0xFFFFFFFF)
+dotted = values.map(lambda v: str(Address(v)))
+others = st.one_of(
+    values.map(Address),
+    values.map(SubAddress),
+    st.integers(min_value=-(1 << 40), max_value=1 << 40),
+    st.booleans(),
+    dotted,
+    st.text(max_size=20),
+    st.from_regex(r"\A\d{1,4}\.\d{1,4}\.\d{1,4}(\.\d{1,4}){0,2}\Z"),
+    st.floats(allow_nan=True),
+    st.none(),
+    st.binary(max_size=4),
+    st.tuples(values),
+)
+
+
+@given(values, others)
+def test_eq_matches_the_reference_for_any_operand(value, other):
+    address = Address(value)
+    assert address.__eq__(other) == reference_eq(address, other)
+    expected = reference_eq(address, other)
+    assert (address == other) == (expected is True)
+    assert (address != other) == (expected is not True)
+
+
+@given(values, values)
+def test_eq_and_hash_between_addresses(a, b):
+    x, y = Address(a), Address(b)
+    assert (x == y) == (a == b) == (x == SubAddress(b))
+    assert hash(x) == hash(a)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(values)
+def test_eq_against_its_own_int_and_str(value):
+    address = Address(value)
+    assert address == value and address == str(address)
+    assert address != value + 1 and address != (value ^ 1)
+    assert address.__eq__(str(address) + ".0") is NotImplemented
+
+
 # ----------------------------------------------------------------------
 # Prefix
 # ----------------------------------------------------------------------
