@@ -1,4 +1,4 @@
-"""Internet-scale benchmark: sharded AS-parallel engine + flyweight packets.
+"""Internet-scale benchmark: the sharded AS-parallel engine.
 
 Three measurements, written to ``BENCH_scale.json`` at the repo root:
 
@@ -6,9 +6,9 @@ Three measurements, written to ``BENCH_scale.json`` at the repo root:
   handle-free ``post()`` path (what every packet hop now uses) and the
   cancellable ``schedule()`` path, compared against the PR-1 committed
   baseline of 156,859 events/s (``BENCH_fastpath.json``).
-* **flyweight** — the same multi-AS scenario run single-shard with and
-  without the :class:`~repro.ip.flyweight.PacketPool`, in simulation
-  events/s and delivered packets/s.
+* **single_shard** — the same multi-AS scenario run as one shard in
+  this process, in simulation events/s and delivered packets/s: the
+  unsharded baseline for the runs below.
 * **scale** — the ≥500-node multi-AS ring run at 1..N workers through the
   conservative-lookahead sharded scheduler, with per-worker and aggregate
   events/s plus the determinism digest CI diffs across worker counts.
@@ -91,7 +91,7 @@ def bench_engine(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 2. Flyweight packet path vs object path
+# 2. Single-shard baseline
 # ----------------------------------------------------------------------
 def _run_single(cfg: ScaleConfig, horizon: float) -> dict:
     builder = MultiAsBuilder(cfg)
@@ -113,25 +113,6 @@ def _run_single(cfg: ScaleConfig, horizon: float) -> dict:
         "packets_s": round(packets / wall),
         "delivered": summary["delivered"],
         "sink_packets": summary["sink_packets"],
-        "pool": summary.get("pool"),
-    }
-
-
-def bench_flyweight(cfg: ScaleConfig, horizon: float) -> dict:
-    pooled = _run_single(cfg, horizon)
-    import dataclasses
-
-    object_cfg = dataclasses.replace(cfg, packet_pool=False)
-    plain = _run_single(object_cfg, horizon)
-    return {
-        "pooled": pooled,
-        "object_path": plain,
-        "identical_delivery": (
-            pooled["delivered"] == plain["delivered"]
-            and pooled["sink_packets"] == plain["sink_packets"]),
-        "packets_s_speedup": round(
-            pooled["packets_s"] / plain["packets_s"], 2)
-        if plain["packets_s"] else None,
     }
 
 
@@ -170,8 +151,7 @@ def bench_scale(cfg: ScaleConfig, horizon: float, n_shards: int,
                 for s in summaries if s["cpu_seconds"])
         det = {
             "collect": sorted(
-                ({k: v for k, v in s.items()
-                  if k not in ("cpu_seconds", "pool")}
+                ({k: v for k, v in s.items() if k != "cpu_seconds"}
                  for s in summaries),
                 key=lambda s: s["shard"]),
             "messages_crossed": crossed,
@@ -229,7 +209,7 @@ def main(argv: list[str]) -> int:
         "mode": "quick" if quick else "full",
         "cpus": _cpus(),
         "engine": bench_engine(quick),
-        "flyweight": bench_flyweight(cfg, horizon),
+        "single_shard": _run_single(cfg, horizon),
         "scale": bench_scale(cfg, horizon, n_shards, worker_counts),
     }
     text = json.dumps(results, indent=2)

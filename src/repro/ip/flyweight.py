@@ -1,250 +1,24 @@
-"""Flyweight packet machinery: pooled datagrams and interned headers.
+"""A name the benchmark under ``perfbench/`` still binds; nothing runs it.
 
-At internet scale the object path's per-hop cost is dominated by allocation:
-every forwarded hop builds a fresh :class:`~repro.ip.packet.Datagram`, every
-cross-shard ingress parses one from wire bytes, and every one of them also
-allocates two :class:`~repro.ip.address.Address` objects.  The flyweight
-layer removes that churn without changing semantics:
-
-* :class:`PacketPool` keeps a free list of recycled ``Datagram`` shells.
-  :meth:`PacketPool.clone_forward` — the per-hop hot call — reuses a shell
-  and reassigns its slots instead of allocating; :meth:`PacketPool.release`
-  returns a shell once its packet's life ends (delivered, or dropped).
-  Pool-produced datagrams are *real* ``Datagram`` objects, so ``copy()``
-  derivatives, obs trace ids, fragmentation and chaos epoch stamps all keep
-  working unchanged — the pool is a lifetime optimisation, not a new type.
-* Ownership lives on the datagram itself: the ``pool_state`` slot
-  (0 = ordinary object, 1 = live pool product, 2 = released shell) makes
-  :meth:`release` two attribute operations with no ownership table.  The
-  marker is sound because shells never migrate between pools — a shard
-  owns exactly one pool, and datagrams cross shard boundaries by value
-  (wire bytes), never by reference.
-* Address and header-tuple interning: a simulation carries millions of
-  packets between a few hundred endpoints, so the distinct header space is
-  tiny.  :meth:`PacketPool.intern_address` canonicalises addresses parsed
-  from wire bytes (cross-shard ingress), and :meth:`PacketPool.header_key`
-  interns the ``(src, dst, protocol, tos)`` tuple flows are classified by.
-
-Lifetime rules (also documented in DESIGN.md §12):
-
-1. Only the pool's own products are recycled.  ``release()`` ignores any
-   datagram the pool did not hand out, so call sites may release
-   unconditionally; double releases are ignored the same way.
-2. A datagram may be released only at a terminal point of its life:
-   consumed by local delivery, or dropped by a medium/forwarding decision.
-   In-flight packets (queued on a medium, held by a packet scheduler) are
-   live and must not be released.
-3. Fragments are never released at delivery: the reassembler retains the
-   offset-zero fragment as its header template.
-4. Broadcast datagrams are never released: a LAN delivers the *same*
-   object to every member.
-
-Pooling is opt-in (``Internet.enable_packet_pool()``); with no pool
-installed every path allocates exactly as before, and differential tests
-prove the two paths packet-for-packet identical.
+Datagrams have one ordinary lifetime (DESIGN.md §12).  The benchmark's
+per-layer tracer patches the three methods below as its ``ip.pool``
+boundary, so the class keeps them, and they raise if anything calls
+them.  This module goes when a benchmark change drops that boundary.
 """
 
 from __future__ import annotations
-
-from .address import Address
-from .packet import Datagram
 
 __all__ = ["PacketPool"]
 
 
 class PacketPool:
-    """A free-list of recycled :class:`Datagram` shells plus header interning.
+    """Placeholder for the benchmark's ``ip.pool`` boundary."""
 
-    One pool serves a whole internet (or one shard of one): sharing
-    maximises reuse.  A pool must never be shared across shard processes —
-    each shard owns its own (see :mod:`repro.sim.shard`).
-    """
+    def acquire(self, *args, **kwargs):
+        raise NotImplementedError("datagrams are not pooled")
 
-    __slots__ = ("max_free", "_free", "_addrs", "_headers",
-                 "allocated", "reused", "released", "foreign_releases")
+    def clone_forward(self, *args, **kwargs):
+        raise NotImplementedError("datagrams are not pooled")
 
-    def __init__(self, max_free: int = 8192):
-        self.max_free = max_free
-        self._free: list[Datagram] = []
-        self._addrs: dict[int, Address] = {}
-        self._headers: dict[tuple, tuple] = {}
-        self.allocated = 0
-        self.reused = 0
-        self.released = 0
-        self.foreign_releases = 0
-
-    # ------------------------------------------------------------------
-    # Acquisition
-    # ------------------------------------------------------------------
-    def acquire(
-        self,
-        src: Address,
-        dst: Address,
-        protocol: int,
-        payload: bytes = b"",
-        ttl: int = 32,
-        ident: int = 0,
-        dont_fragment: bool = False,
-        more_fragments: bool = False,
-        fragment_offset: int = 0,
-        tos: int = 0,
-        trace_id: int = 0,
-    ) -> Datagram:
-        """A datagram with every field assigned, recycled when possible."""
-        free = self._free
-        if free:
-            d = free.pop()
-            self.reused += 1
-        else:
-            d = object.__new__(Datagram)
-            self.allocated += 1
-        d.src = src
-        d.dst = dst
-        d.protocol = protocol
-        d.payload = payload
-        d.ttl = ttl
-        d.ident = ident
-        d.dont_fragment = dont_fragment
-        d.more_fragments = more_fragments
-        d.fragment_offset = fragment_offset
-        d.tos = tos
-        d.trace_id = trace_id
-        d.pool_state = 1
-        return d
-
-    def clone_forward(self, d: Datagram) -> Datagram:
-        """The per-hop hot call: a clone of ``d`` with TTL decremented.
-
-        Equivalent to ``d.copy(ttl=d.ttl - 1)`` on the object path.
-        """
-        free = self._free
-        if free:
-            new = free.pop()
-            self.reused += 1
-        else:
-            new = object.__new__(Datagram)
-            self.allocated += 1
-        new.src = d.src
-        new.dst = d.dst
-        new.protocol = d.protocol
-        new.payload = d.payload
-        new.ttl = d.ttl - 1
-        new.ident = d.ident
-        new.dont_fragment = d.dont_fragment
-        new.more_fragments = d.more_fragments
-        new.fragment_offset = d.fragment_offset
-        new.tos = d.tos
-        new.trace_id = d.trace_id
-        new.pool_state = 1
-        return new
-
-    def clone(self, d: Datagram, **changes) -> Datagram:
-        """A pooled equivalent of ``d.copy(**changes)``."""
-        new = self.clone_forward(d)
-        new.ttl = d.ttl  # clone_forward decremented; restore before changes
-        for name, value in changes.items():
-            setattr(new, name, value)
-        return new
-
-    def from_wire(self, data: bytes, *, trace_id: int = 0) -> Datagram:
-        """Parse RFC-791 wire bytes into a pooled datagram with interned
-        addresses — the cross-shard ingress path.
-
-        Semantics match :meth:`Datagram.from_bytes` (including every
-        :class:`HeaderError` case) except that the product is pooled and
-        its addresses are interned.
-        """
-        parsed = Datagram.from_bytes(data)
-        return self.acquire(
-            src=self.intern_address(int(parsed.src)),
-            dst=self.intern_address(int(parsed.dst)),
-            protocol=parsed.protocol,
-            payload=parsed.payload,
-            ttl=parsed.ttl,
-            ident=parsed.ident,
-            dont_fragment=parsed.dont_fragment,
-            more_fragments=parsed.more_fragments,
-            fragment_offset=parsed.fragment_offset,
-            tos=parsed.tos,
-            trace_id=trace_id,
-        )
-
-    # ------------------------------------------------------------------
-    # Release
-    # ------------------------------------------------------------------
-    def release(self, d: Datagram) -> None:
-        """Return a pool-owned shell to the free list.
-
-        Safe to call on *any* datagram: objects the pool did not produce
-        (``pool_state == 0``) and double releases (``pool_state == 2``)
-        are counted and ignored, so call sites may release unconditionally
-        at terminal points with no ownership bookkeeping of their own.
-        """
-        if d.pool_state != 1:
-            self.foreign_releases += 1
-            return
-        d.pool_state = 2
-        self.released += 1
-        if len(self._free) < self.max_free:
-            # Drop the payload reference so the shell doesn't pin big
-            # buffers while idle on the free list.
-            d.payload = b""
-            self._free.append(d)
-
-    def owns(self, d: Datagram) -> bool:
-        """True while ``d`` is a live (not yet released) pool product."""
-        return d.pool_state == 1
-
-    # ------------------------------------------------------------------
-    # Interning
-    # ------------------------------------------------------------------
-    def intern_address(self, value: int) -> Address:
-        """The canonical :class:`Address` for an integer address value."""
-        addr = self._addrs.get(value)
-        if addr is None:
-            addr = Address(value)
-            self._addrs[value] = addr
-        return addr
-
-    def header_key(self, d: Datagram) -> tuple:
-        """The interned ``(src, dst, protocol, tos)`` flow tuple for ``d``.
-
-        Interning means repeated classification of the same flow returns
-        the *same* tuple object — usable as a dict key with identity-level
-        cheapness across millions of packets.
-        """
-        probe = (int(d.src), int(d.dst), d.protocol, d.tos)
-        key = self._headers.get(probe)
-        if key is None:
-            self._headers[probe] = probe
-            return probe
-        return key
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    @property
-    def free(self) -> int:
-        return len(self._free)
-
-    @property
-    def live(self) -> int:
-        """Pool products currently out in the wild (arithmetic, O(1))."""
-        return self.allocated + self.reused - self.released
-
-    def counters(self) -> dict:
-        """Scalar health counters for the observability registry."""
-        return {
-            "allocated": self.allocated,
-            "reused": self.reused,
-            "released": self.released,
-            "foreign_releases": self.foreign_releases,
-            "free": len(self._free),
-            "live": self.live,
-            "interned_addresses": len(self._addrs),
-            "interned_headers": len(self._headers),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PacketPool free={len(self._free)} live={self.live} "
-                f"reused={self.reused} allocated={self.allocated}>")
+    def release(self, *args, **kwargs):
+        raise NotImplementedError("datagrams are not pooled")

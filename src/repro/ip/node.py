@@ -93,14 +93,6 @@ class Node:
         #: below is guarded by ``obs is not None and obs.enabled`` so the
         #: un-observed fast path pays one attribute load per packet.
         self.obs = None
-        #: Optional :class:`~repro.ip.flyweight.PacketPool`.  None by
-        #: default (the object path: every hop allocates a Datagram).
-        #: When set — :meth:`Internet.enable_packet_pool` installs one
-        #: net-wide — forwarding clones draw recycled shells from the pool
-        #: and terminal points (local delivery, drops) return them.  The
-        #: two paths are packet-for-packet identical; see
-        #: :mod:`repro.ip.flyweight` for the lifetime rules.
-        self.packet_pool = None
         self.interfaces: list[Interface] = []
         #: Integer values of every owned interface address — the
         #: per-arrival ``owns_address`` check as one set probe instead of
@@ -277,22 +269,16 @@ class Node:
             return False
         dst_addr = dst if isinstance(dst, Address) else Address(dst)
         src_addr = src if src is not None else self.source_for(dst_addr)
-        pool = self.packet_pool
-        if pool is not None and not dst_addr.is_broadcast:
-            datagram = pool.acquire(
-                src_addr, dst_addr, protocol, payload, ttl=ttl,
-                ident=self.next_ident(), dont_fragment=dont_fragment, tos=tos)
-        else:
-            datagram = Datagram(
-                src=src_addr,
-                dst=dst_addr,
-                protocol=protocol,
-                payload=payload,
-                ttl=ttl,
-                tos=tos,
-                ident=self.next_ident(),
-                dont_fragment=dont_fragment,
-            )
+        datagram = Datagram(
+            src=src_addr,
+            dst=dst_addr,
+            protocol=protocol,
+            payload=payload,
+            ttl=ttl,
+            tos=tos,
+            ident=self.next_ident(),
+            dont_fragment=dont_fragment,
+        )
         self.stats.originated += 1
         self.stats.bytes_originated += datagram.total_length
         obs = self.obs
@@ -342,24 +328,6 @@ class Node:
     # ------------------------------------------------------------------
     # The forwarding path
     # ------------------------------------------------------------------
-    def _release_terminal(self, datagram: Datagram,
-                          iface: Optional[Interface] = None) -> None:
-        """Return a pooled shell whose packet's life just ended here.
-
-        A no-op without a pool, for datagrams the pool does not own, and
-        for broadcasts delivered off a shared medium (a LAN hands the
-        *same* object to every member, so no single receiver may recycle
-        it).  See :mod:`repro.ip.flyweight` for the lifetime rules.
-        """
-        pool = self.packet_pool
-        if pool is None:
-            return
-        if iface is not None and getattr(iface.medium, "is_shared", False):
-            dst = datagram.dst._value
-            if dst == 0xFFFFFFFF or dst == iface.broadcast_value:
-                return
-        pool.release(datagram)
-
     def _output(self, datagram: Datagram, *, originating: bool) -> bool:
         """Route, fragment and transmit one datagram."""
         self.stats.work_units += 1
@@ -378,7 +346,6 @@ class Node:
             if not originating:
                 self._send_icmp(icmp.destination_unreachable(
                     self.address, datagram, icmp.UNREACH_NET))
-            self._release_terminal(datagram)
             return False
         iface = route.interface
         if not iface.up:
@@ -386,7 +353,6 @@ class Node:
             if obs is not None:
                 obs.drop(self.sim.now, self.name, "drop-link-down", datagram,
                          iface.name)
-            self._release_terminal(datagram)
             return False
         next_hop = route.next_hop
         try:
@@ -399,7 +365,6 @@ class Node:
             if not originating:
                 self._send_icmp(icmp.destination_unreachable(
                     self.address, datagram, icmp.UNREACH_NEEDFRAG))
-            self._release_terminal(datagram)
             return False
         if len(pieces) > 1:
             self.stats.fragments_created += len(pieces)
@@ -412,9 +377,6 @@ class Node:
                         datagram, f"{len(pieces)} pieces, mtu={iface.mtu}")
             for piece in pieces:
                 iface.output(piece, next_hop)
-            # The parent was replaced by its (independently copied)
-            # pieces; its own life ends at the fragmentation point.
-            self._release_terminal(datagram)
             return True
         iface.output(datagram, next_hop)
         return True
@@ -431,7 +393,6 @@ class Node:
             obs = self.obs
             if obs is not None and obs.enabled:
                 obs.drop(self.sim.now, self.name, "drop-node-down", datagram)
-            self._release_terminal(datagram, iface)
             return
         self.stats.work_units += 1
         # "For me, broadcast or transit" on integer address values.
@@ -447,7 +408,6 @@ class Node:
             if obs is not None and obs.enabled:
                 obs.drop(self.sim.now, self.name, "drop-not-mine", datagram,
                          str(datagram.dst))
-            self._release_terminal(datagram, iface)
             return
         self._forward(datagram, iface)
 
@@ -461,8 +421,6 @@ class Node:
         clone goes straight to the scheduler or medium after one cache
         probe.  Counters move exactly as on the reference path below,
         which every other hop takes (DESIGN.md §7, "fused transit path").
-        Only :meth:`datagram_arrived` calls this, so the original is never
-        a broadcast and its release needs no shared-medium check.
         """
         obs = self.obs
         if obs is not None and not obs.enabled:
@@ -475,10 +433,8 @@ class Node:
                 obs.drop(self.sim.now, self.name, "drop-ttl", datagram,
                          f"{datagram.src}->{datagram.dst}")
             self._send_icmp(icmp.time_exceeded(self.address, datagram))
-            self._release_terminal(datagram, iface_in)
             return
         routes = self.routes
-        pool = self.packet_pool
         entry = None
         if obs is None and self.transit_interposer is None:
             entry = routes._cache.get(datagram.dst._value)
@@ -491,10 +447,7 @@ class Node:
                 entry = None
         if entry is None and iface_in is not None and self.send_redirects:
             self._maybe_redirect(datagram, iface_in)
-        if pool is not None:
-            forwarded = pool.clone_forward(datagram)
-        else:
-            forwarded = datagram.copy(ttl=datagram.ttl - 1)
+        forwarded = datagram.forward_copy()
         inspectors = self.forward_inspectors
         if inspectors:
             generation = routes._generation
@@ -503,8 +456,6 @@ class Node:
             if (routes._generation != generation
                     or forwarded.dst is not datagram.dst):
                 entry = None
-        # Captured before output: a drop or the fragmentation path may
-        # release the clone, and release clears the payload.
         forwarded_length = IP_HEADER_LEN + len(forwarded.payload)
         if entry is not None:
             route = entry[1]
@@ -522,8 +473,6 @@ class Node:
                     medium.transmit(iface, forwarded, route.next_hop)
                 stats.forwarded += 1
                 stats.bytes_forwarded += forwarded_length
-                if pool is not None:
-                    pool.release(datagram)
                 return
         interposer = self.transit_interposer
         if interposer is not None:
@@ -536,10 +485,6 @@ class Node:
             if obs is not None:
                 obs.hop(self.sim.now, self.name, "forward", "forwarded",
                         forwarded, f"ttl={forwarded.ttl}")
-        # The incoming original's life ends here either way: its onward
-        # identity is the clone (ICMP time-exceeded/redirect consumers
-        # above copy header bytes synchronously, retaining nothing).
-        self._release_terminal(datagram, iface_in)
 
     def _maybe_redirect(self, datagram: Datagram, iface_in: Interface) -> None:
         """ICMP Redirect: the datagram will leave by the interface it came
@@ -574,9 +519,7 @@ class Node:
     def _deliver_local(self, datagram: Datagram, iface: Optional[Interface]) -> None:
         completed = self.reassembler.accept(datagram)
         if completed is None:
-            # A fragment, buffered by the reassembler (which retains it) —
-            # lifetime rule 3: never release fragments at delivery.
-            return
+            return  # a fragment, buffered by the reassembler
         self.stats.delivered += 1
         self.stats.bytes_delivered += completed.total_length
         obs = self.obs
@@ -585,24 +528,16 @@ class Node:
                       if completed is not datagram else "")
             obs.hop(self.sim.now, self.name, "deliver", "delivered",
                     completed, detail)
-        # ``completed`` is either the arriving datagram itself (whole
-        # packets — pool-owned when pooling is on) or a fresh reassembly
-        # copy (never pool-owned); handlers consume the payload bytes
-        # synchronously, so its life ends at each exit below and
-        # _release_terminal no-ops on whatever the pool does not own.
         if completed.protocol == PROTO_ICMP:
             self._handle_icmp(completed)
-            self._release_terminal(completed, iface)
             return
         handler = self._protocols.get(completed.protocol)
         if handler is None:
             self.stats.dropped_bad_header += 1
             self._send_icmp(icmp.destination_unreachable(
                 self.address, completed, icmp.UNREACH_PROTOCOL))
-            self._release_terminal(completed, iface)
             return
         handler(self, completed, iface)
-        self._release_terminal(completed, iface)
 
     def _handle_icmp(self, datagram: Datagram) -> None:
         try:

@@ -11,7 +11,7 @@ fragmentation (E11) manipulates genuine offset/flag fields.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .address import Address
 from .checksum import internet_checksum, verify_checksum
@@ -63,12 +63,8 @@ class Datagram:
     transport segment (TCP/UDP/ICMP bytes).
 
     ``slots=True`` matters: datagrams are the hottest allocation in the
-    simulator (one per hop on the object path), and dropping the per-
-    instance ``__dict__`` roughly halves both the memory and the creation
-    cost.  It also makes the class recyclable by the flyweight
-    :class:`~repro.ip.flyweight.PacketPool`, which reassigns every slot on
-    reuse — any stray attribute poked onto a datagram would be a latent
-    bug, and slots turn it into an immediate ``AttributeError``.
+    simulator (one per forwarded hop), and dropping the per-instance
+    ``__dict__`` roughly halves both the memory and the creation cost.
     """
 
     src: Address
@@ -91,14 +87,6 @@ class Datagram:
     #: deliberately ignore it (a parsed datagram starts a fresh, untraced
     #: life, exactly like a packet entering from outside the observed net).
     trace_id: int = 0
-    #: Flyweight-pool ownership marker (see :mod:`repro.ip.flyweight`):
-    #: 0 = ordinary object, 1 = live pool product, 2 = released shell.
-    #: Carried on the datagram itself so pool release/ownership checks
-    #: are two attribute operations instead of a live-object table.
-    #: Excluded from equality and repr — it is lifetime state, not header
-    #: content — and never copied (a ``copy()`` derivative starts an
-    #: ordinary, un-pooled life).
-    pool_state: int = field(default=0, compare=False, repr=False)
 
     @property
     def header_length(self) -> int:
@@ -113,14 +101,33 @@ class Datagram:
     def is_fragment(self) -> bool:
         return self.more_fragments or self.fragment_offset > 0
 
+    def forward_copy(self) -> "Datagram":
+        """The copy a gateway sends on: ``copy(ttl=self.ttl - 1)``.
+
+        Every transit hop makes one, so it assigns each slot directly,
+        with no keyword loop.  The payload is shared, not copied.
+        """
+        new = object.__new__(Datagram)
+        new.src = self.src
+        new.dst = self.dst
+        new.protocol = self.protocol
+        new.payload = self.payload
+        new.ttl = self.ttl - 1
+        new.ident = self.ident
+        new.dont_fragment = self.dont_fragment
+        new.more_fragments = self.more_fragments
+        new.fragment_offset = self.fragment_offset
+        new.tos = self.tos
+        new.trace_id = self.trace_id
+        return new
+
     def copy(self, **changes) -> "Datagram":
-        """Return a modified copy (used by forwarding and fragmentation).
+        """Return a modified copy (fragments, reassembly, probes, chaos).
 
         Hand-rolled instead of :func:`dataclasses.replace`: ``replace``
-        re-enters ``__init__`` through keyword dispatch, and this runs on
-        every forwarded hop and every fragment.  Direct slot assignment is
-        ~3x cheaper and behaves identically (an unknown field name raises,
-        via ``setattr`` on the slotted class).
+        re-enters ``__init__`` through keyword dispatch.  Direct slot
+        assignment is ~3x cheaper and behaves identically (an unknown
+        field name raises, via ``setattr`` on the slotted class).
         """
         new = object.__new__(Datagram)
         new.src = self.src
@@ -134,7 +141,6 @@ class Datagram:
         new.fragment_offset = self.fragment_offset
         new.tos = self.tos
         new.trace_id = self.trace_id
-        new.pool_state = 0
         for name, value in changes.items():
             setattr(new, name, value)
         return new

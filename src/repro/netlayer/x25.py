@@ -21,7 +21,7 @@ from typing import Optional
 from ..ip.address import Address
 from ..ip.packet import Datagram
 from ..sim.engine import Simulator
-from .link import Interface, PointToPointLink, _obs_of, _release_dropped
+from .link import Interface, PointToPointLink, _obs_of
 from .loss import NoLoss
 
 __all__ = ["X25Subnet"]
@@ -72,7 +72,6 @@ class X25Subnet(PointToPointLink):
             if obs is not None and iface.node is not None:
                 obs.drop(self.sim.now, iface.node.name, "drop-link-down",
                          datagram, self.name)
-            _release_dropped(iface, datagram)
             return
         if self._queued[iface] >= self.queue_limit:
             iface.notify_queue_drop(datagram)

@@ -135,3 +135,28 @@ def test_round_trip_property(payload, ttl, ident, tos, offset, mf, df,
                  fragment_offset=offset, more_fragments=mf, dont_fragment=df)
     parsed = Datagram.from_bytes(d.to_bytes())
     assert parsed == d
+
+
+@given(payload=st.binary(max_size=512),
+       ttl=st.integers(min_value=1, max_value=255),
+       ident=st.integers(min_value=0, max_value=0xFFFF),
+       tos=st.integers(min_value=0, max_value=255),
+       offset=st.integers(min_value=0, max_value=8191),
+       mf=st.booleans(), df=st.booleans(),
+       src=st.integers(min_value=0, max_value=0xFFFFFFFF),
+       dst=st.integers(min_value=0, max_value=0xFFFFFFFF),
+       proto=st.integers(min_value=0, max_value=255),
+       trace_id=st.integers(min_value=0, max_value=2**63))
+def test_forward_copy_is_copy_with_ttl_decremented(payload, ttl, ident, tos,
+                                                   offset, mf, df, src, dst,
+                                                   proto, trace_id):
+    d = Datagram(src=Address(src), dst=Address(dst), protocol=proto,
+                 payload=payload, ttl=ttl, ident=ident, tos=tos,
+                 fragment_offset=offset, more_fragments=mf, dont_fragment=df,
+                 trace_id=trace_id)
+    before = d.copy()
+    forwarded = d.forward_copy()
+    assert forwarded == d.copy(ttl=ttl - 1)
+    assert forwarded is not d
+    assert forwarded.payload is d.payload
+    assert d == before and d.ttl == ttl

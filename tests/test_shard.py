@@ -8,12 +8,14 @@ timing exactly, even the *partition* must not change any packet outcome.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.harness.scaletopo import MultiAsBuilder, ScaleConfig
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.shard import ConduitPort, ShardedSimulation
+from repro.sim.shard import (ConduitPort, ShardBuild, ShardedSimulation,
+                             ShardHarness)
 from repro.netlayer.link import Interface
 from repro.ip.address import Address, Prefix
 
@@ -32,9 +34,8 @@ def run_scenario(n_shards: int, workers: int, cfg: ScaleConfig = CFG):
         summaries = ss.collect()
         meta = (ss.windows, ss.messages_crossed)
     for s in summaries:
-        # Execution-dependent fields excluded from the determinism digest.
+        # Execution-dependent field excluded from the determinism digest.
         s.pop("cpu_seconds", None)
-        s.pop("pool", None)
     return sorted(summaries, key=lambda s: s["shard"]), meta
 
 
@@ -110,7 +111,6 @@ def test_resumable_run():
         resumed = ss.collect()
     for s in resumed:
         s.pop("cpu_seconds", None)
-        s.pop("pool", None)
     straight, _ = run_scenario(n_shards=2, workers=1)
     assert sorted(resumed, key=lambda s: s["shard"]) == straight
 
@@ -163,8 +163,19 @@ def test_conduit_requires_positive_delay():
                     delay=0.0)
 
 
+class _Recorder:
+    """A node stand-in that keeps every datagram delivered to it."""
+
+    def __init__(self):
+        self.arrived = []
+
+    def datagram_arrived(self, datagram, iface):
+        self.arrived.append((datagram, iface))
+
+
 def test_conduit_serializes_by_value():
-    """A datagram crossing the seam travels as wire bytes with p2p timing."""
+    """A datagram crossing the seam travels as wire bytes with p2p timing,
+    and the far shard's ingress rebuilds it header-for-header."""
     from repro.ip.packet import Datagram
 
     sim = Simulator()
@@ -181,5 +192,19 @@ def test_conduit_serializes_by_value():
     assert dst_shard == 1 and dst_port == "as1.west" and tid == 9
     tx = (d.total_length + ConduitPort.FRAME_OVERHEAD) * 8.0 / 56_000.0
     assert arrival == pytest.approx(tx + 0.01)
-    parsed = Datagram.from_bytes(wire)
-    assert parsed.payload == d.payload and parsed.dst == d.dst
+
+    # The far side: the record goes through a shard harness's ingress.
+    west = Interface("y.west", Address("10.254.0.2"), prefix)
+    west.node = recorder = _Recorder()
+    far = Simulator()
+    harness = ShardHarness(
+        1, 2, lambda shard_id, n_shards: ShardBuild(
+            net=SimpleNamespace(sim=far), ports={dst_port: west}))
+    harness.deliver([(arrival, dst_port, wire, tid)])
+    harness.run_window(arrival + 1.0)
+    assert len(recorder.arrived) == 1
+    delivered, iface = recorder.arrived[0]
+    assert iface is west and west.stats.packets_delivered == 1
+    assert delivered == d        # every header field, and trace_id
+    assert delivered.trace_id == 9
+    assert delivered is not d

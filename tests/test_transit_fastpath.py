@@ -5,8 +5,7 @@ transit hops take the fused path, and once with a pass-through transit
 interposer (``node.output_transit``) on every gateway, which forces every
 hop down the reference path.  Every counter the simulator keeps must be
 identical between the two runs: node and link statistics, the route
-cache's hit/miss counts, the packet pool's counters, sink deliveries and
-the number of events fired.
+cache's hit/miss counts, sink deliveries and the number of events fired.
 
 The small ring carries the cases the fused path must decline or survive:
 a link flap and a gateway crash mid-run (route-table generation bumps), a
@@ -42,10 +41,9 @@ def force_reference(nodes) -> None:
             node.transit_interposer = node.output_transit
 
 
-def snapshot(nodes, pool, sinks, sim) -> dict:
+def snapshot(nodes, sinks, sim) -> dict:
     """Every counter the identity contract covers, keyed by name."""
     out = {"events": sim.events_processed,
-           "pool": pool.counters() if pool is not None else None,
            "sinks": {str(k): (s.packets, s.bytes)
                      for k, s in sorted(sinks.items())}}
     for node in sorted(nodes, key=lambda n: n.name):
@@ -121,7 +119,7 @@ def run_ring(reference: bool) -> tuple:
         sim.call_at(fault.clear_time, lambda f=fault: f.clear(net),
                     label="test:fault")
     sim.run(until=HORIZON)
-    snap = snapshot(nodes, net.packet_pool, net.sinks, sim)
+    snap = snapshot(nodes, net.sinks, sim)
     snap["drr"] = dataclasses.asdict(drr.stats)
     snap["inspected"] = inspected
     redirects = len(net.node_by_name("A0G1")._redirects_sent_to)
@@ -176,8 +174,8 @@ class SnapshotBuilder:
                  for n in net.nodes().values()]
         if self.reference:
             force_reference(nodes)
-        build.collect = lambda: snapshot(nodes, shard_net.packet_pool,
-                                         shard_net.sinks, shard_net.sim)
+        build.collect = lambda: snapshot(nodes, shard_net.sinks,
+                                         shard_net.sim)
         return build
 
 
