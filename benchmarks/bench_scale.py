@@ -6,28 +6,19 @@ Three measurements, written to ``BENCH_scale.json`` at the repo root:
   handle-free ``post()`` path (what every packet hop now uses) and the
   cancellable ``schedule()`` path, compared against the PR-1 committed
   baseline of 156,859 events/s (``BENCH_fastpath.json``).
-* **single_shard** — the same multi-AS scenario run as one shard in
-  this process, in simulation events/s and delivered packets/s: the
-  unsharded baseline for the runs below.
-* **scale** — the ≥500-node multi-AS ring run at 1..N workers through the
-  conservative-lookahead sharded scheduler, with per-worker and aggregate
-  events/s plus the determinism digest CI diffs across worker counts.
-
-A note on CPUs: ``aggregate_events_s`` sums each worker process's own
-events-per-CPU-second.  With one core per worker that equals wall-clock
-throughput; on a machine with fewer cores than workers (this repo's CI
-container has 1) the workers time-slice, wall-clock shows no speedup, and
-the aggregate states the capacity the shard decomposition exposes.  The
-JSON records both numbers and ``cpus`` so nobody has to guess.
+* **single_shard** — the same multi-AS scenario built as one shard and
+  run on its plain simulator (no windows, no barriers), in simulation
+  events/s and delivered packets/s: the unsharded baseline.
+* **scale** — the ≥500-node multi-AS ring partitioned into 4 shards and
+  run in this process through the conservative-lookahead window loop,
+  with wall-clock events/s plus the determinism digest CI checks against
+  the committed report.
 
 Run directly::
 
-    PYTHONPATH=src python benchmarks/bench_scale.py [--quick] [--workers N]
-    [--out PATH]
+    PYTHONPATH=src python benchmarks/bench_scale.py [--quick] [--out PATH]
 
 ``--quick`` shrinks the topology and horizon for CI smoke runs.
-``--workers N`` runs the scale scenario at exactly N workers (CI runs 1
-and 2 and diffs the ``deterministic`` sections of the two reports).
 """
 
 from __future__ import annotations
@@ -94,15 +85,14 @@ def bench_engine(quick: bool) -> dict:
 # 2. Single-shard baseline
 # ----------------------------------------------------------------------
 def _run_single(cfg: ScaleConfig, horizon: float) -> dict:
-    builder = MultiAsBuilder(cfg)
     start_wall = time.perf_counter()
     start_cpu = time.process_time()
-    with ShardedSimulation(builder, 1, lookahead=builder.lookahead()) as ss:
-        ss.run(until=horizon)
-        summary = ss.collect()[0]
+    build = MultiAsBuilder(cfg)(0, 1)
+    build.net.sim.run(until=horizon)
+    summary = build.collect()
     wall = time.perf_counter() - start_wall
     cpu = time.process_time() - start_cpu
-    events = summary["events_processed"]
+    events = build.net.sim.events_processed
     packets = summary["delivered"] + summary["forwarded"]
     return {
         "wall_s": round(wall, 3),
@@ -117,75 +107,33 @@ def _run_single(cfg: ScaleConfig, horizon: float) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 3. Sharded scaling
+# 3. Sharded run
 # ----------------------------------------------------------------------
-def bench_scale(cfg: ScaleConfig, horizon: float, n_shards: int,
-                worker_counts: list[int]) -> dict:
+def bench_scale(cfg: ScaleConfig, horizon: float, n_shards: int) -> dict:
     builder = MultiAsBuilder(cfg)
-    runs = []
-    deterministic = None
-    for workers in worker_counts:
-        start_wall = time.perf_counter()
-        start_cpu = time.process_time()
-        with ShardedSimulation(builder, n_shards,
-                               lookahead=builder.lookahead(),
-                               workers=workers) as ss:
-            ss.run(until=horizon)
-            summaries = ss.collect()
-            crossed, windows = ss.messages_crossed, ss.windows
-        wall = time.perf_counter() - start_wall
-        parent_cpu = time.process_time() - start_cpu
-        events = sum(s["events_processed"] for s in summaries)
-        delivered = sum(s["delivered"] for s in summaries)
-        sink_packets = sum(s["sink_packets"] for s in summaries)
-        flows = sum(s["flows"] for s in summaries)
-        if workers == 1:
-            # Inline: every harness shares this process, so per-shard
-            # cpu_seconds all measure the same clock — use the parent's.
-            aggregate = events / parent_cpu if parent_cpu else 0.0
-        else:
-            # Forked: each worker's own events per its own CPU second,
-            # summed — wall-clock throughput when every worker has a core.
-            aggregate = sum(
-                s["events_processed"] / s["cpu_seconds"]
-                for s in summaries if s["cpu_seconds"])
-        det = {
-            "collect": sorted(
-                ({k: v for k, v in s.items() if k != "cpu_seconds"}
-                 for s in summaries),
-                key=lambda s: s["shard"]),
-            "messages_crossed": crossed,
-            "windows": windows,
-        }
-        if deterministic is None:
-            deterministic = det
-            identical = True
-        else:
-            identical = json.dumps(det, sort_keys=True) == json.dumps(
-                deterministic, sort_keys=True)
-        runs.append({
-            "workers": workers,
-            "wall_s": round(wall, 3),
-            "events": events,
-            "events_s_wall": round(events / wall),
-            "aggregate_events_s": round(aggregate),
-            "delivered": delivered,
-            "sink_packets": sink_packets,
-            "flows": flows,
-            "flows_s_wall": round(sink_packets / wall),
-            "identical_to_first_run": identical,
-        })
-    one = next((r for r in runs if r["workers"] == 1), runs[0])
-    four = next((r for r in runs if r["workers"] == 4), None)
+    start_wall = time.perf_counter()
+    ss = ShardedSimulation(builder, n_shards, lookahead=builder.lookahead())
+    ss.run(until=horizon)
+    summaries = sorted(ss.collect(), key=lambda s: s["shard"])
+    wall = time.perf_counter() - start_wall
+    events = sum(s["events_processed"] for s in summaries)
+    sink_packets = sum(s["sink_packets"] for s in summaries)
     return {
         "n_shards": n_shards,
         "nodes": cfg.total_nodes,
         "horizon_s": horizon,
-        "runs": runs,
-        "aggregate_speedup_4w_vs_1w": round(
-            four["aggregate_events_s"] / one["aggregate_events_s"], 2)
-        if four else None,
-        "deterministic": deterministic,
+        "wall_s": round(wall, 3),
+        "events": events,
+        "events_s_wall": round(events / wall),
+        "delivered": sum(s["delivered"] for s in summaries),
+        "sink_packets": sink_packets,
+        "flows": sum(s["flows"] for s in summaries),
+        "flows_s_wall": round(sink_packets / wall),
+        "deterministic": {
+            "collect": summaries,
+            "messages_crossed": ss.messages_crossed,
+            "windows": ss.windows,
+        },
     }
 
 
@@ -196,21 +144,17 @@ def main(argv: list[str]) -> int:
         out_path = pathlib.Path(argv[argv.index("--out") + 1])
     if quick:
         cfg = ScaleConfig(n_as=4, gateways_per_as=4, hosts_per_lan=3, seed=7)
-        horizon, n_shards = 30.0, 4
-        worker_counts = [1, 2]
+        horizon = 30.0
     else:
         cfg = ScaleConfig(n_as=8, gateways_per_as=8, hosts_per_lan=7, seed=7)
-        horizon, n_shards = 40.0, 4
-        worker_counts = [1, 2, 4]
-    if "--workers" in argv:
-        worker_counts = [int(argv[argv.index("--workers") + 1])]
+        horizon = 40.0
     results = {
         "benchmark": "internet-scale sharded engine",
         "mode": "quick" if quick else "full",
         "cpus": _cpus(),
         "engine": bench_engine(quick),
         "single_shard": _run_single(cfg, horizon),
-        "scale": bench_scale(cfg, horizon, n_shards, worker_counts),
+        "scale": bench_scale(cfg, horizon, n_shards=4),
     }
     text = json.dumps(results, indent=2)
     print(text)

@@ -1,33 +1,22 @@
 """Chaos smoke campaigns: the CI gates for survivability.
 
-Two presets, selected with ``--campaign``:
+Six presets, selected with ``--campaign``:
 
-* ``random`` (default) — builds the two-tier AS-chain preset, converges
-  it, and runs a seeded random fault campaign under the full
-  invariant-monitor suite::
+* ``random`` (default) — seeded random faults on the converged AS chain.
+* ``restart`` — a host streaming a resumable session is power-cycled.
+* ``flows`` — datagram-FIFO vs hard-state VC vs soft-state DRR race.
+* ``adversary`` — stateful fuzzing, byzantine gateways, canary rollout.
+* ``collapse`` — congestion-collapse ecology under FIFO, RED and RED+DRR.
+* ``routeobs`` — probe mesh and churn alarms watching routing faults.
 
-      PYTHONPATH=src python -m repro.chaos --seed 7 --budget 6 --out chaos-report.json
+For example::
 
-* ``restart`` — the fate-sharing closed loop: a client host streaming a
-  resumable session transfer is power-cycled three times; the gate also
-  requires the application payload to arrive with zero lost and zero
-  duplicated bytes::
+    PYTHONPATH=src python -m repro.chaos --seed 7 --budget 6 --out chaos-report.json
+    PYTHONPATH=src python -m repro.chaos --campaign routeobs --size small --seed 7
 
-      PYTHONPATH=src python -m repro.chaos --campaign restart --seed 7 --out restart-report.json
-
-* ``flows`` — the three-way architecture race from the paper's closing
-  outlook (§10): datagram-FIFO vs hard-state VC vs soft-state DRR flows,
-  one fault schedule.  The gate requires the VC conversation to die on
-  the gateway crash while the soft-state reservation re-installs within
-  one refresh interval, DRR voice to beat FIFO voice at saturation, and
-  the management plane to detect both the crash and the lost
-  reservation::
-
-      PYTHONPATH=src python -m repro.chaos --campaign flows --seed 7 --out flows-report.json
-
-Either way the canonical report is written and the exit code is non-zero
-on any invariant violation (or unreconverged fault, or corrupted
-payload).  The seed fully determines the campaign, so a red CI run is
+Every preset writes its canonical report and exits non-zero on any
+invariant violation or unreconverged fault, or when a campaign-specific
+gate fails.  The seed fully determines the campaign, so a red CI run is
 replayable locally with the same flags.
 """
 

@@ -46,7 +46,7 @@ INTER_AS_DELAY = 0.01
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    """Scenario parameters; frozen so a config is safely shared/forked."""
+    """Scenario parameters; frozen so one config is safely shared."""
 
     n_as: int = 8
     gateways_per_as: int = 8
@@ -99,7 +99,7 @@ class _ShardNet:
 
 
 class MultiAsBuilder:
-    """Picklable ``builder(shard_id, n_shards) -> ShardBuild``.
+    """A ``builder(shard_id, n_shards) -> ShardBuild``.
 
     Shard ``s`` of ``n`` owns the contiguous AS block
     ``[s * n_as // n, (s+1) * n_as // n)``.  Inter-AS links interior to a

@@ -29,29 +29,23 @@ like a :class:`~repro.netlayer.link.PointToPointLink`, but instead of
 scheduling a local arrival it serializes the datagram to RFC-791 wire
 bytes and appends ``(arrival, dst_shard, dst_port, wire, trace_id)`` to
 the shard's outbox.  The ingress half parses the bytes back and delivers
-to the attached interface.
-Crossing the seam by value, never by reference, is what makes one-process
-and N-process execution indistinguishable.
+to the attached interface.  Crossing the seam by value, never by
+reference, keeps the shards' object graphs disjoint.
 
 Determinism
 -----------
-Same seed ⇒ byte-identical results at any worker count:
+Same seed ⇒ byte-identical results; one process runs every shard:
 
 * each shard owns its simulator, random streams and address space, so its
   intra-window execution is sequential and seeded;
 * drained messages are merged in ``(arrival, src_shard, emission_index)``
   order before delivery, so the destination simulator's insertion order —
-  its tie-break for same-timestamp events — is reproducible;
-* ``workers=1`` runs every shard harness in-process through the *same*
-  window loop; ``workers=N`` forks one process per shard and moves the
-  identical tuples over pipes.  Nothing about the schedule depends on
-  which mode executed it.
+  its tie-break for same-timestamp events — is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter, process_time
 from typing import Callable, Optional
 
 from ..ip.packet import Datagram
@@ -123,8 +117,7 @@ class ShardBuild:
     """What a shard builder hands back to the harness.
 
     ``builder(shard_id, n_shards) -> ShardBuild`` must be deterministic in
-    its arguments (seed everything from them) and, for forked execution,
-    importable/picklable.
+    its arguments (seed everything from them).
     """
 
     #: Object owning ``.sim`` (an Internet, or anything with a Simulator).
@@ -134,7 +127,7 @@ class ShardBuild:
     ports: dict = field(default_factory=dict)
     #: The list every local ConduitPort appends egress records to.
     outbox: list = field(default_factory=list)
-    #: Optional picklable stats summary, fetched once after the run.
+    #: Optional stats summary, fetched once after the run.
     collect: Optional[Callable[[], dict]] = None
 
 
@@ -146,7 +139,6 @@ class ShardHarness:
         self.shard_id = shard_id
         self.build = builder(shard_id, n_shards)
         self.sim: Simulator = self.build.net.sim
-        self._cpu_base = process_time()
 
     def deliver(self, messages) -> None:
         """Schedule arrivals for this window's cross-shard messages.
@@ -181,7 +173,6 @@ class ShardHarness:
         summary = self.build.collect() if self.build.collect is not None else {}
         summary.setdefault("shard", self.shard_id)
         summary["events_processed"] = self.sim.events_processed
-        summary["cpu_seconds"] = process_time() - self._cpu_base
         return summary
 
 
@@ -201,27 +192,8 @@ class _Ingress:
         self.iface.deliver(datagram)
 
 
-def _worker_main(conn, shard_id: int, n_shards: int, builder) -> None:
-    """Child-process loop: build the shard, then serve barrier commands."""
-    harness = ShardHarness(shard_id, n_shards, builder)
-    try:
-        while True:
-            cmd = conn.recv()
-            op = cmd[0]
-            if op == "run":
-                _op, until, messages = cmd
-                harness.deliver(messages)
-                conn.send(harness.run_window(until))
-            elif op == "collect":
-                conn.send(harness.collect())
-            elif op == "stop":
-                break
-    finally:
-        conn.close()
-
-
 class ShardedSimulation:
-    """Orchestrates N shard harnesses through lookahead windows.
+    """Runs N shard harnesses in this process through lookahead windows.
 
     Parameters
     ----------
@@ -229,55 +201,29 @@ class ShardedSimulation:
         ``builder(shard_id, n_shards) -> ShardBuild``; must derive all of
         its randomness from its arguments.
     n_shards:
-        The topology partition — part of the *scenario*, not of the
-        execution: results depend on it, never on ``workers``.
+        The topology partition — part of the *scenario*: results depend
+        on it.
     lookahead:
         The window width ``W``.  Must not exceed any conduit's delay; a
         violation surfaces as a "late cross-shard message" error rather
         than silent nondeterminism.
-    workers:
-        1 runs every harness in this process (no forks, zero IPC); > 1
-        forks ``min(workers, n_shards)`` processes, one per shard, and is
-        byte-identical to ``workers=1`` by construction.
     """
 
-    def __init__(self, builder, n_shards: int, *, lookahead: float,
-                 workers: int = 1):
+    def __init__(self, builder, n_shards: int, *, lookahead: float):
         if n_shards < 1:
             raise ValueError("need at least one shard")
         if lookahead <= 0:
             raise ValueError("lookahead must be positive")
-        self.builder = builder
         self.n_shards = n_shards
         self.lookahead = lookahead
-        self.workers = max(1, min(workers, n_shards))
-        self._closed = False
-        self.wall_seconds = 0.0
         self._now = 0.0
         self._windows = 0
         self._messages_crossed = 0
         #: Undelivered cross-shard messages as
         #: (arrival, src_shard, emission_index, dst_shard, port, wire, tid).
         self._pending: list[tuple] = []
-        self._harnesses: list[ShardHarness] = []
-        self._procs: list = []
-        self._conns: list = []
-        if self.workers == 1:
-            self._harnesses = [ShardHarness(i, n_shards, builder)
-                               for i in range(n_shards)]
-        else:
-            import multiprocessing as mp
-
-            ctx = mp.get_context("fork")
-            for i in range(n_shards):
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(target=_worker_main,
-                                   args=(child, i, n_shards, builder),
-                                   daemon=True)
-                proc.start()
-                child.close()
-                self._procs.append(proc)
-                self._conns.append(parent)
+        self._harnesses = [ShardHarness(i, n_shards, builder)
+                           for i in range(n_shards)]
 
     @property
     def now(self) -> float:
@@ -296,8 +242,6 @@ class ShardedSimulation:
     # ------------------------------------------------------------------
     def run(self, until: float) -> float:
         """Advance every shard to ``until`` through lookahead windows."""
-        self._check_open()
-        t0 = perf_counter()
         W = self.lookahead
         base = self._now
         k = 0
@@ -305,10 +249,11 @@ class ShardedSimulation:
             k += 1
             t_next = min(base + k * W, until)
             batches = self._split_deliverable(t_next)
-            outboxes = self._round(t_next, batches)
             merged = []
-            for src_shard, outbox in enumerate(outboxes):
-                for index, record in enumerate(outbox):
+            for src_shard, (harness, batch) in enumerate(
+                    zip(self._harnesses, batches)):
+                harness.deliver(batch)
+                for index, record in enumerate(harness.run_window(t_next)):
                     arrival, dst_shard, port, wire, tid = record
                     if arrival <= t_next:
                         raise SimulationError(
@@ -321,7 +266,6 @@ class ShardedSimulation:
             self._pending.extend(merged)
             self._windows += 1
             self._now = t_next
-        self.wall_seconds += perf_counter() - t0
         return self._now
 
     def _split_deliverable(self, t_next: float) -> list[list]:
@@ -338,67 +282,7 @@ class ShardedSimulation:
             batches[dst_shard].append((arrival, port, wire, tid))
         return batches
 
-    def _round(self, t_next: float, batches: list[list]) -> list[list]:
-        if self.workers == 1:
-            out = []
-            for harness, batch in zip(self._harnesses, batches):
-                harness.deliver(batch)
-                out.append(harness.run_window(t_next))
-            return out
-        for i, (conn, batch) in enumerate(zip(self._conns, batches)):
-            self._send(i, conn, ("run", t_next, batch))
-        return [self._recv(i, conn) for i, conn in enumerate(self._conns)]
-
     # ------------------------------------------------------------------
     def collect(self) -> list[dict]:
         """Per-shard stats summaries (see :attr:`ShardBuild.collect`)."""
-        self._check_open()
-        if self.workers == 1:
-            return [h.collect() for h in self._harnesses]
-        for i, conn in enumerate(self._conns):
-            self._send(i, conn, ("collect",))
-        return [self._recv(i, conn) for i, conn in enumerate(self._conns)]
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SimulationError(
-                "ShardedSimulation is closed: run/collect before close() "
-                "or before leaving the `with` block")
-
-    def _send(self, shard_id: int, conn, payload) -> None:
-        try:
-            conn.send(payload)
-        except (BrokenPipeError, OSError) as exc:
-            raise SimulationError(
-                f"shard worker {shard_id} is gone — it likely crashed "
-                f"(its traceback was printed to stderr)") from exc
-
-    def _recv(self, shard_id: int, conn):
-        try:
-            return conn.recv()
-        except (EOFError, ConnectionResetError, OSError) as exc:
-            raise SimulationError(
-                f"shard worker {shard_id} died mid-command — see its "
-                f"traceback on stderr") from exc
-
-    def close(self) -> None:
-        """Shut worker processes down (no-op for in-process mode)."""
-        self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-                conn.close()
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-        self._conns = []
-        self._procs = []
-
-    def __enter__(self) -> "ShardedSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return [h.collect() for h in self._harnesses]

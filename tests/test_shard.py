@@ -1,10 +1,11 @@
-"""Sharded scheduler: determinism across worker counts and partitions.
+"""Sharded scheduler: determinism across runs and partitions.
 
 The contract under test (DESIGN.md §12): ``n_shards`` is part of the
-scenario, ``workers`` is not.  Same seed + same shard count must produce
-byte-identical results whether the shards run in one process or one
-process each; and because cross-shard conduits mirror PointToPointLink
-timing exactly, even the *partition* must not change any packet outcome.
+scenario, and one process runs every shard.  Same seed + same shard count
+must produce byte-identical results; cross-shard messages reach their
+destination in ``(arrival, src_shard, emission_index)`` order; and because
+cross-shard conduits mirror PointToPointLink timing exactly, even the
+*partition* must not change any packet outcome.
 """
 
 import json
@@ -25,18 +26,12 @@ CFG = ScaleConfig(n_as=4, gateways_per_as=3, hosts_per_lan=2, seed=13)
 HORIZON = 25.0
 
 
-def run_scenario(n_shards: int, workers: int, cfg: ScaleConfig = CFG):
+def run_scenario(n_shards: int, cfg: ScaleConfig = CFG):
     builder = MultiAsBuilder(cfg)
-    with ShardedSimulation(builder, n_shards,
-                           lookahead=builder.lookahead(),
-                           workers=workers) as ss:
-        ss.run(until=HORIZON)
-        summaries = ss.collect()
-        meta = (ss.windows, ss.messages_crossed)
-    for s in summaries:
-        # Execution-dependent field excluded from the determinism digest.
-        s.pop("cpu_seconds", None)
-    return sorted(summaries, key=lambda s: s["shard"]), meta
+    ss = ShardedSimulation(builder, n_shards, lookahead=builder.lookahead())
+    ss.run(until=HORIZON)
+    meta = (ss.windows, ss.messages_crossed)
+    return sorted(ss.collect(), key=lambda s: s["shard"]), meta
 
 
 def digest(summaries, meta):
@@ -50,30 +45,14 @@ def totals(summaries):
 
 
 # ----------------------------------------------------------------------
-# Worker-count independence (1 vs N processes, same shards)
-# ----------------------------------------------------------------------
-def test_forked_workers_byte_identical_to_inline():
-    inline, meta_i = run_scenario(n_shards=2, workers=1)
-    forked, meta_f = run_scenario(n_shards=2, workers=2)
-    assert digest(inline, meta_i) == digest(forked, meta_f)
-    assert totals(inline)["sink_packets"] > 0  # traffic actually flowed
-    assert meta_i[1] > 0  # and actually crossed the seam
-
-
-def test_excess_workers_clamp_to_shard_count():
-    builder = MultiAsBuilder(CFG)
-    with ShardedSimulation(builder, 2, lookahead=builder.lookahead(),
-                           workers=8) as ss:
-        assert ss.workers == 2
-
-
-# ----------------------------------------------------------------------
 # Partition independence (the seam does not change the packets)
 # ----------------------------------------------------------------------
 def test_partition_does_not_change_outcomes():
-    one, _ = run_scenario(n_shards=1, workers=1)
-    two, _ = run_scenario(n_shards=2, workers=1)
-    four, _ = run_scenario(n_shards=4, workers=1)
+    one, _ = run_scenario(n_shards=1)
+    two, meta = run_scenario(n_shards=2)
+    four, _ = run_scenario(n_shards=4)
+    assert totals(one)["sink_packets"] > 0  # traffic actually flowed
+    assert meta[1] > 0  # and actually crossed the seam
     assert totals(one) == totals(two) == totals(four)
     # Per-AS delivery/forward counts survive re-partitioning too.
     def per_as(summaries):
@@ -85,8 +64,8 @@ def test_partition_does_not_change_outcomes():
 
 
 def test_same_seed_same_run_repeatable():
-    a = digest(*run_scenario(n_shards=2, workers=1))
-    b = digest(*run_scenario(n_shards=2, workers=1))
+    a = digest(*run_scenario(n_shards=2))
+    b = digest(*run_scenario(n_shards=2))
     assert a == b
 
 
@@ -95,31 +74,27 @@ def test_same_seed_same_run_repeatable():
 # ----------------------------------------------------------------------
 def test_window_count_matches_lookahead():
     builder = MultiAsBuilder(CFG)
-    with ShardedSimulation(builder, 2, lookahead=builder.lookahead(),
-                           workers=1) as ss:
-        ss.run(until=1.0)
-        # W = inter_delay = 0.01 → 100 barrier rounds to reach t=1.
-        assert ss.windows == 100
-        assert ss.now == pytest.approx(1.0)
+    ss = ShardedSimulation(builder, 2, lookahead=builder.lookahead())
+    ss.run(until=1.0)
+    # W = inter_delay = 0.01 → 100 barrier rounds to reach t=1.
+    assert ss.windows == 100
+    assert ss.now == pytest.approx(1.0)
 
 
 def test_resumable_run():
     builder = MultiAsBuilder(CFG)
-    with ShardedSimulation(builder, 2, lookahead=builder.lookahead()) as ss:
-        ss.run(until=12.0)
-        ss.run(until=HORIZON)
-        resumed = ss.collect()
-    for s in resumed:
-        s.pop("cpu_seconds", None)
-    straight, _ = run_scenario(n_shards=2, workers=1)
-    assert sorted(resumed, key=lambda s: s["shard"]) == straight
+    ss = ShardedSimulation(builder, 2, lookahead=builder.lookahead())
+    ss.run(until=12.0)
+    ss.run(until=HORIZON)
+    straight, _ = run_scenario(n_shards=2)
+    assert sorted(ss.collect(), key=lambda s: s["shard"]) == straight
 
 
 def test_lookahead_wider_than_conduit_delay_is_detected():
     builder = MultiAsBuilder(CFG)
-    with ShardedSimulation(builder, 2, lookahead=0.5, workers=1) as ss:
-        with pytest.raises(SimulationError, match="lookahead"):
-            ss.run(until=HORIZON)
+    ss = ShardedSimulation(builder, 2, lookahead=0.5)
+    with pytest.raises(SimulationError, match="lookahead"):
+        ss.run(until=HORIZON)
 
 
 def test_constructor_validation():
@@ -137,21 +112,9 @@ def test_single_host_lans_still_carry_traffic():
     scenario must build, run, and actually deliver packets.
     """
     cfg = ScaleConfig(n_as=2, gateways_per_as=3, hosts_per_lan=1, seed=13)
-    summaries, meta = run_scenario(n_shards=2, workers=1, cfg=cfg)
+    summaries, meta = run_scenario(n_shards=2, cfg=cfg)
     assert totals(summaries)["sink_packets"] > 0
     assert meta[1] > 0  # cross-AS flows still cross the seam
-
-
-def test_use_after_close_raises_cleanly():
-    builder = MultiAsBuilder(CFG)
-    ss = ShardedSimulation(builder, 2, lookahead=builder.lookahead(),
-                           workers=2)
-    ss.run(until=1.0)
-    ss.close()
-    with pytest.raises(SimulationError, match="closed"):
-        ss.collect()
-    with pytest.raises(SimulationError, match="closed"):
-        ss.run(until=2.0)
 
 
 def test_conduit_requires_positive_delay():
@@ -208,3 +171,44 @@ def test_conduit_serializes_by_value():
     assert delivered == d        # every header field, and trace_id
     assert delivered.trace_id == 9
     assert delivered is not d
+
+
+def test_cross_shard_delivery_follows_merge_order():
+    """Same-arrival messages reach the destination shard in
+    ``(arrival, src_shard, emission_index)`` order — the tie-break its
+    heap then preserves — not in the order the barriers drained them."""
+    from repro.ip.packet import Datagram
+
+    arrival = 2.5
+    prefix = Prefix(Address("10.254.0.0"), 30)
+    port = Interface("as2.west", Address("10.254.0.2"), prefix)
+    port.node = recorder = _Recorder()
+
+    def emit(outbox, trace_ids):
+        # Trace ids (and the one-byte payloads carrying them) descend
+        # within a shard, so sorting by either reverses emission order.
+        for tid in trace_ids:
+            d = Datagram(src=Address("10.0.0.1"), dst=Address("10.2.0.1"),
+                         protocol=17, payload=bytes([tid]), trace_id=tid)
+            outbox.append((arrival, 2, "as2.west", d.to_bytes(), tid))
+
+    # Shard 1 emits in the first window and shard 0 in the second, so
+    # shard 1's records are drained (and pending) first.
+    emit_at = {0: (1.5, (14, 13)), 1: (0.5, (24, 23))}
+
+    def builder(shard_id, n_shards):
+        sim = Simulator()
+        build = ShardBuild(net=SimpleNamespace(sim=sim))
+        if shard_id in emit_at:
+            when, tids = emit_at[shard_id]
+            sim.post_at(when, lambda: emit(build.outbox, tids))
+        else:
+            build.ports["as2.west"] = port
+        return build
+
+    ss = ShardedSimulation(builder, 3, lookahead=1.0)
+    ss.run(until=4.0)
+    assert ss.messages_crossed == 4
+    assert [d.trace_id for d, _ in recorder.arrived] == [14, 13, 24, 23]
+    assert [d.payload for d, _ in recorder.arrived] == [
+        bytes([14]), bytes([13]), bytes([24]), bytes([23])]
