@@ -639,26 +639,6 @@ class AdversaryReport:
         return all(leg["ok"] for leg in self.legs.values())
 
     @property
-    def all_behaviors_detected(self) -> bool:
-        return all(r["detected"] for r in self.behavior_detection)
-
-    @property
-    def rollout_ok(self) -> bool:
-        good = self.rollouts["tcp_good"]
-        broken = self.rollouts["tcp_broken"]
-        egp = self.rollouts["egp_broken"]
-        return (
-            good["state"] == "settled"
-            and good["promoted_at"] is not None
-            and good["rolled_back_at"] is None
-            and all(r["rolled_back_at"] is not None
-                    and r["promoted_at"] is None
-                    and r["state"] == "healthy"
-                    and r["mttr"] is not None
-                    for r in (broken, egp))
-        )
-
-    @property
     def ok(self) -> bool:
         """Invariant gate: no fuzz-leg violation, no monitor violation.
         Detection latency and rollout discipline are the CLI's

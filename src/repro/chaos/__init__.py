@@ -16,7 +16,10 @@ This package provides the systematic machinery:
 * :mod:`~repro.chaos.report` — the canonical-JSON campaign report CI
   archives and later PRs regress against.
 
-Run ``python -m repro.chaos`` for the randomized smoke campaign.
+Run ``python -m repro.chaos`` for the randomized smoke campaign, and
+``python -m repro.chaos --campaign NAME`` for every other CI campaign
+(``restart``, ``flows``, ``adversary``, ``collapse``, ``routeobs``,
+``obs``, ``netmgmt``).
 """
 
 from .campaign import FaultCampaign, control_plane_path, total_drops

@@ -28,8 +28,7 @@ from .faults import Fault
 from .monitors import InvariantMonitor, default_monitors
 from .report import CampaignReport
 
-__all__ = ["FaultCampaign", "control_plane_path", "control_plane_hops",
-           "total_drops"]
+__all__ = ["FaultCampaign", "control_plane_path", "total_drops"]
 
 
 def control_plane_path(owners: dict[int, Node], src: Node, dst: Address,
@@ -56,18 +55,6 @@ def control_plane_path(owners: dict[int, Node], src: Node, dst: Address,
             return None
         node = nxt
     return None  # exceeded max_hops: a control-plane loop
-
-
-def control_plane_hops(owners: dict[int, Node], src: Node, dst: Address,
-                       max_hops: int = 64) -> Optional[list[str]]:
-    """Node-name variant of :func:`control_plane_path`: the hop list the
-    control plane *believes* a packet from ``src`` to ``dst`` takes —
-    the reference side of the traceroute differential check (see
-    :func:`repro.obs.routing.forwarding_path`)."""
-    from ..obs.routing import forwarding_path
-    if not src.up:
-        return None
-    return forwarding_path(owners, src, dst, max_hops=max_hops)
 
 
 def total_drops(net) -> int:

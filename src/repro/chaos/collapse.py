@@ -31,11 +31,11 @@ from __future__ import annotations
 from ..accounting import HarmAccountant  # noqa: F401  (re-export context)
 from ..ecology import EcologyConfig, EcologyNet, MisbehavingHosts, build_ecology
 from ..harness.tables import Table
-from ..metrics.export import canonical_json, write_json
 from ..netmgmt.alarms import RateRule
 from ..netmgmt.campaign import ManagementPlane
 from .campaign import FaultCampaign
 from .monitors import ReconvergenceMonitor, TtlExhaustionMonitor
+from .report import MultiLegReport
 
 __all__ = ["run_collapse_campaign", "CollapseReport",
            "TRAFFIC_START", "STORM_AT", "STORM_DURATION", "MEASURE_WINDOW"]
@@ -256,39 +256,15 @@ def _run_leg(seed: int, defense: str, *, mixed: bool, managed: bool,
     return report, entry
 
 
-class CollapseReport:
-    """Duck-types :class:`CampaignReport` across the four-leg race."""
+class CollapseReport(MultiLegReport):
+    """The four-leg race: each leg's :class:`CampaignReport` plus the
+    scorecard entry it measured."""
 
     LEGS = ("baseline", "fifo", "red", "red_drr")
 
     def __init__(self, name: str, legs: dict, race: dict):
-        self.name = name
-        self.legs = legs            # leg name -> CampaignReport
+        super().__init__(name, legs)
         self.race = race            # leg name -> scorecard entry
-
-    # -- CampaignReport surface ----------------------------------------
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.legs.values())
-
-    @property
-    def violation_count(self) -> int:
-        return sum(r.violation_count for r in self.legs.values())
-
-    @property
-    def all_reconverged(self) -> bool:
-        return all(r.all_reconverged for r in self.legs.values())
-
-    @property
-    def faults(self) -> list:
-        out = []
-        for name in self.LEGS:
-            out.extend(self.legs[name].faults)
-        return out
-
-    @property
-    def counters(self) -> dict:
-        return {name: self.legs[name].counters for name in self.LEGS}
 
     def to_dict(self) -> dict:
         return {
@@ -296,12 +272,6 @@ class CollapseReport:
             "legs": {name: self.legs[name].to_dict() for name in self.LEGS},
             "race": {name: self.race[name] for name in self.LEGS},
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def write(self, path):
-        return write_json(path, self.to_dict())
 
     # -- rendering ------------------------------------------------------
     def race_table(self) -> Table:
@@ -337,14 +307,6 @@ class CollapseReport:
             if leg.violation_count:
                 parts.append(leg.violation_table().render())
         return "\n\n".join(parts)
-
-    def print(self) -> None:
-        print()
-        print(self.render())
-
-    def __repr__(self) -> str:
-        return (f"<CollapseReport '{self.name}' legs={len(self.legs)} "
-                f"violations={self.violation_count}>")
 
 
 def run_collapse_campaign(seed: int, *, size: str = "full") -> CollapseReport:

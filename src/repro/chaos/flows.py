@@ -35,7 +35,6 @@ from ..apps.voice import VoiceCodec
 from ..harness.flowtopo import (BOTTLENECK_BPS, FlowTopology, RecordingMeter,
                                 build_flow_topology)
 from ..harness.tables import Table
-from ..metrics.export import canonical_json, write_json
 from ..netmgmt.alarms import RateRule
 from ..netmgmt.campaign import ManagementPlane
 from ..sim.engine import Simulator
@@ -43,7 +42,7 @@ from ..vc.network import VirtualCircuitNetwork
 from .campaign import FaultCampaign
 from .faults import GatewayCrash, HostRestart, LinkFlap, Partition
 from .monitors import InvariantMonitor, default_monitors
-from .report import CampaignReport
+from .report import CampaignReport, MultiLegReport
 
 __all__ = ["FlowStateMonitor", "VcVoiceConversation", "FlowsRaceReport",
            "run_flows_campaign"]
@@ -242,56 +241,29 @@ class VcVoiceConversation:
         }
 
 
-class FlowsRaceReport:
-    """The combined artifact: two campaign reports plus the VC mirror.
+class FlowsRaceReport(MultiLegReport):
+    """The combined artifact: the FIFO and DRR campaign reports plus the
+    VC mirror; serialization stays canonical so the same-seed
+    byte-identity contract holds for the whole race."""
 
-    Duck-types the slice of :class:`CampaignReport` the CLI gate uses
-    (``ok`` / ``all_reconverged`` / ``violation_count`` / ``faults`` /
-    ``counters`` / ``print`` / ``write``); serialization stays canonical
-    so the same-seed byte-identity contract holds for the whole race.
-    """
+    LEGS = ("fifo", "drr")
 
     def __init__(self, name: str, fifo: CampaignReport, drr: CampaignReport,
                  vc_counters: dict, race: dict):
-        self.name = name
-        self.fifo = fifo
-        self.drr = drr
+        super().__init__(name, {"fifo": fifo, "drr": drr})
         self.vc = vc_counters
         self.race = race
-        self.counters = {"race": race}
-
-    @property
-    def ok(self) -> bool:
-        return self.fifo.ok and self.drr.ok
-
-    @property
-    def violation_count(self) -> int:
-        return self.fifo.violation_count + self.drr.violation_count
-
-    @property
-    def all_reconverged(self) -> bool:
-        return self.fifo.all_reconverged and self.drr.all_reconverged
-
-    @property
-    def faults(self) -> list:
-        return self.drr.faults
 
     def to_dict(self) -> dict:
         return {
             "campaign": self.name,
             "variants": {
-                "fifo": self.fifo.to_dict(),
-                "drr": self.drr.to_dict(),
+                "fifo": self.legs["fifo"].to_dict(),
+                "drr": self.legs["drr"].to_dict(),
                 "vc": self.vc,
             },
             "race": self.race,
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def write(self, path):
-        return write_json(path, self.to_dict())
 
     def race_table(self) -> Table:
         table = Table(
@@ -313,10 +285,9 @@ class FlowsRaceReport:
             )
         return table
 
-    def print(self) -> None:
-        self.drr.print()
-        print()
-        print(self.race_table().render())
+    def render(self) -> str:
+        return (self.legs["drr"].render() + "\n\n"
+                + self.race_table().render())
 
 
 def _fmt(value) -> str:

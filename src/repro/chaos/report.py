@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .faults import Fault
     from .monitors import InvariantMonitor
 
-__all__ = ["CampaignReport"]
+__all__ = ["CampaignReport", "MultiLegReport"]
 
 
 class CampaignReport:
@@ -152,3 +152,62 @@ class CampaignReport:
         return (f"<CampaignReport '{self.name}' faults={len(self.faults)} "
                 f"violations={self.violation_count} "
                 f"reconverged={self.all_reconverged}>")
+
+
+class MultiLegReport:
+    """Several :class:`CampaignReport` legs seen as one campaign.
+
+    The gates read one surface whatever the campaign: ``ok``,
+    ``violation_count``, ``all_reconverged``, ``faults`` and ``counters``
+    aggregate over the legs named in ``LEGS``.  A subclass adds its
+    scorecard, ``to_dict`` (the canonical bytes) and ``render``.
+    """
+
+    LEGS: tuple = ()
+
+    def __init__(self, name: str, legs: dict):
+        self.name = name
+        self.legs = legs            # leg name -> CampaignReport
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.legs.values())
+
+    @property
+    def violation_count(self) -> int:
+        return sum(r.violation_count for r in self.legs.values())
+
+    @property
+    def all_reconverged(self) -> bool:
+        return all(r.all_reconverged for r in self.legs.values())
+
+    @property
+    def faults(self) -> list:
+        out = []
+        for name in self.LEGS:
+            out.extend(self.legs[name].faults)
+        return out
+
+    @property
+    def counters(self) -> dict:
+        return {name: self.legs[name].counters for name in self.LEGS}
+
+    def to_dict(self) -> dict:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def render(self) -> str:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def to_json(self) -> str:
+        return canonical_json(self.to_dict())
+
+    def write(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
+        return write_json(path, self.to_dict())
+
+    def print(self) -> None:
+        print()
+        print(self.render())
+
+    def __repr__(self) -> str:
+        return (f"<{type(self).__name__} '{self.name}' legs={len(self.legs)} "
+                f"violations={self.violation_count}>")

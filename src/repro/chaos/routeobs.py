@@ -39,7 +39,6 @@ from typing import Optional
 from ..harness.scaletopo import RingNet, ScaleConfig
 from ..harness.tables import Table
 from ..harness.topology import Internet
-from ..metrics.export import canonical_json, write_json
 from ..netmgmt.alarms import AgentUnreachableRule, RateRule
 from ..netmgmt.campaign import ManagementPlane
 from ..obs.routing import (
@@ -51,7 +50,7 @@ from ..obs.routing import (
 )
 from .campaign import FaultCampaign
 from .faults import GatewayCrash, LinkFlap, Partition
-from .report import CampaignReport
+from .report import CampaignReport, MultiLegReport
 
 __all__ = ["run_routeobs_campaign", "RouteObsReport",
            "MESH_INTERVAL", "WARMUP", "RUN_UNTIL"]
@@ -324,39 +323,14 @@ def _run_diamond_leg(seed: int) -> tuple[CampaignReport, dict]:
 # ----------------------------------------------------------------------
 # The combined report
 # ----------------------------------------------------------------------
-class RouteObsReport:
-    """Duck-types :class:`CampaignReport` across the two legs."""
+class RouteObsReport(MultiLegReport):
+    """Both legs' :class:`CampaignReport` plus what the mesh saw on each."""
 
     LEGS = ("ring", "diamond")
 
     def __init__(self, name: str, legs: dict, summary: dict):
-        self.name = name
-        self.legs = legs          # leg name -> CampaignReport
+        super().__init__(name, legs)
         self.summary = summary    # leg name -> _leg_summary dict
-
-    # -- CampaignReport surface ----------------------------------------
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.legs.values())
-
-    @property
-    def violation_count(self) -> int:
-        return sum(r.violation_count for r in self.legs.values())
-
-    @property
-    def all_reconverged(self) -> bool:
-        return all(r.all_reconverged for r in self.legs.values())
-
-    @property
-    def faults(self) -> list:
-        out = []
-        for name in self.LEGS:
-            out.extend(self.legs[name].faults)
-        return out
-
-    @property
-    def counters(self) -> dict:
-        return {name: self.legs[name].counters for name in self.LEGS}
 
     def to_dict(self) -> dict:
         return {
@@ -364,12 +338,6 @@ class RouteObsReport:
             "legs": {name: self.legs[name].to_dict() for name in self.LEGS},
             "summary": {name: self.summary[name] for name in self.LEGS},
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def write(self, path):
-        return write_json(path, self.to_dict())
 
     # -- rendering ------------------------------------------------------
     def leg_table(self) -> Table:
@@ -427,14 +395,6 @@ class RouteObsReport:
             if leg.violation_count:
                 parts.append(leg.violation_table().render())
         return "\n\n".join(parts)
-
-    def print(self) -> None:
-        print()
-        print(self.render())
-
-    def __repr__(self) -> str:
-        return (f"<RouteObsReport '{self.name}' legs={len(self.legs)} "
-                f"violations={self.violation_count}>")
 
 
 def run_routeobs_campaign(seed: int, *, size: str = "full") -> RouteObsReport:

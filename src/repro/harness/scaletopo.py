@@ -97,6 +97,37 @@ class _ShardNet:
         self.sinks: dict[tuple, object] = {}
         self.flows: list = []
 
+    def collect(self) -> dict:
+        """Deterministic per-shard summary."""
+        delivered = forwarded = originated = drops = 0
+        sink_packets = sink_bytes = 0
+        per_as: dict[str, list[int]] = {}
+        for as_index, net in sorted(self.internets.items()):
+            a_del = a_fwd = 0
+            for node in net.nodes().values():
+                s = node.stats
+                delivered += s.delivered
+                forwarded += s.forwarded
+                originated += s.originated
+                drops += (s.dropped_no_route + s.dropped_ttl + s.dropped_down
+                          + s.dropped_df + s.dropped_not_mine)
+                a_del += s.delivered
+                a_fwd += s.forwarded
+            per_as[str(as_index)] = [a_del, a_fwd]
+        for sink in self.sinks.values():
+            sink_packets += sink.packets
+            sink_bytes += sink.bytes
+        return {
+            "delivered": delivered,
+            "forwarded": forwarded,
+            "originated": originated,
+            "drops": drops,
+            "sink_packets": sink_packets,
+            "sink_bytes": sink_bytes,
+            "flows": len(self.flows),
+            "per_as": per_as,
+        }
+
 
 class MultiAsBuilder:
     """A ``builder(shard_id, n_shards) -> ShardBuild``.
@@ -138,7 +169,7 @@ class MultiAsBuilder:
         self._wire_inter_as(shard_net, shard_id, n_shards, ports, outbox)
         self._start_traffic(shard_net, block)
         return ShardBuild(net=shard_net, ports=ports, outbox=outbox,
-                          collect=_Collector(shard_net))
+                          collect=shard_net.collect)
 
     def _build_as(self, shard_net: _ShardNet, as_index: int) -> None:
         cfg = self.config
@@ -269,7 +300,7 @@ class MultiAsBuilder:
 
     # -- traffic --------------------------------------------------------
     def _start_traffic(self, shard_net: _ShardNet, block: range) -> None:
-        from ..apps.traffic import UdpSink
+        from ..apps.traffic import CbrSource, UdpSink
 
         cfg = self.config
         if cfg.hosts_per_lan < 1:
@@ -297,71 +328,18 @@ class MultiAsBuilder:
                     dst_as = (as_index + 1 + (g % reach)) % cfg.n_as
                     dst_lan = g % cfg.gateways_per_as
                 dst = cfg.lan_host_address(dst_as, dst_lan, 0)
-                shard_net.sim.schedule(
-                    cfg.traffic_start,
-                    _FlowStarter(shard_net, src_host, dst, cfg),
-                    label="traffic:start")
+
+                def start(host=src_host, dst=dst):
+                    shard_net.flows.append(
+                        CbrSource(host, dst, 9000, size=cfg.flow_size,
+                                  rate=cfg.flow_rate))
+
+                shard_net.sim.schedule(cfg.traffic_start, start,
+                                       label="traffic:start")
 
     def lookahead(self) -> float:
         return self.config.inter_delay
 
-
-class _FlowStarter:
-    """Deferred CBR start (picklable, unlike a lambda under spawn)."""
-
-    __slots__ = ("shard_net", "host", "dst", "cfg")
-
-    def __init__(self, shard_net, host, dst, cfg):
-        self.shard_net = shard_net
-        self.host = host
-        self.dst = dst
-        self.cfg = cfg
-
-    def __call__(self) -> None:
-        from ..apps.traffic import CbrSource
-
-        self.shard_net.flows.append(
-            CbrSource(self.host, self.dst, 9000,
-                      size=self.cfg.flow_size, rate=self.cfg.flow_rate))
-
-
-class _Collector:
-    """Picklable deterministic per-shard summary."""
-
-    __slots__ = ("shard_net",)
-
-    def __init__(self, shard_net: _ShardNet):
-        self.shard_net = shard_net
-
-    def __call__(self) -> dict:
-        delivered = forwarded = originated = drops = 0
-        sink_packets = sink_bytes = 0
-        per_as: dict[str, list[int]] = {}
-        for as_index, net in sorted(self.shard_net.internets.items()):
-            a_del = a_fwd = 0
-            for node in net.nodes().values():
-                s = node.stats
-                delivered += s.delivered
-                forwarded += s.forwarded
-                originated += s.originated
-                drops += (s.dropped_no_route + s.dropped_ttl + s.dropped_down
-                          + s.dropped_df + s.dropped_not_mine)
-                a_del += s.delivered
-                a_fwd += s.forwarded
-            per_as[str(as_index)] = [a_del, a_fwd]
-        for sink in self.shard_net.sinks.values():
-            sink_packets += sink.packets
-            sink_bytes += sink.bytes
-        return {
-            "delivered": delivered,
-            "forwarded": forwarded,
-            "originated": originated,
-            "drops": drops,
-            "sink_packets": sink_packets,
-            "sink_bytes": sink_bytes,
-            "flows": len(self.shard_net.flows),
-            "per_as": per_as,
-        }
 
 class RingNet:
     """Campaign-facing adapter over the single-shard multi-AS build.

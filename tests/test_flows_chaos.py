@@ -136,7 +136,7 @@ def test_flows_race_campaign_smoke_and_determinism():
     # Voice isolation at saturation: DRR protects it, FIFO drowns it.
     assert race["drr"]["usable_saturation_pct"] > race["fifo"]["usable_saturation_pct"] + 20
     # The management plane saw the crash AND the lost reservation.
-    netmgmt = report.drr.counters["netmgmt"]
+    netmgmt = report.legs["drr"].counters["netmgmt"]
     assert netmgmt["reservation_loss"]["detected"]
     assert netmgmt["false_alarms"] == 0
     assert any(f["kind"] == "gateway-crash" and f["detected"]
